@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from .series import (
     extract_coefficient,
     parse_polynomial,
 )
-from .terms import evaluate, substitute
+from .terms import IDENTIFIER, NATURAL, evaluate, substitute
 
 EXIT_OK = 0
 EXIT_SYNTAX = 1
@@ -151,7 +152,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     env = {}
     for binding in args.bind or []:
         name, sep, value = binding.partition("=")
-        if not sep or not name.isidentifier() or not value.isdigit():
+        if not sep or not re.fullmatch(IDENTIFIER, name) or not re.fullmatch(NATURAL, value):
             print(f"bad binding {binding!r}, expected NAME=NATURAL", file=sys.stderr)
             return EXIT_ERROR
         env[name] = int(value)

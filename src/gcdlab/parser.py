@@ -1,4 +1,4 @@
-"""Text syntax for terms: tokenizer, precedence-climbing parser, and a
+"""Text syntax for terms: tokenizer, operator-precedence parser, and a
 minimally parenthesizing pretty printer.
 
 Grammar: decimal literals of any length, identifiers, the binary operators
@@ -10,19 +10,30 @@ negative literal.
 
 from __future__ import annotations
 
-import string
+import re
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import GcdLabError
-from .terms import Add, Const, FloorDiv, Mod, Monus, Mul, Pow, Term, Var
+from .terms import IDENTIFIER, NATURAL, Add, Const, FloorDiv, Mod, Monus, Mul, Pow, Term, Var, fold
 
-_DIGITS = set(string.digits)
-_IDENT_START = set(string.ascii_letters + "_")
-_IDENT_REST = _IDENT_START | _DIGITS
-_SPACE = set(" \t\r\n")
+# token kinds: the number of the regex group that matched
+_NUM, _IDENT, _OP, _OPEN, _CLOSE, _BAD = range(1, 7)
+# finditer skips what no group matches: the last group takes every character
+# but the four spaces, so only they are skipped.
+_TOKEN = re.compile(rf"({NATURAL})|({IDENTIFIER})|([-+*/%^])|(\()|(\))|([^ \t\r\n])")
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2, "^": 3}
-_NODE = {"+": Add, "-": Monus, "*": Mul, "/": FloorDiv, "%": Mod, "^": Pow}
+# operator -> (level, node class); only ^ associates to the right
+_OPERATORS = {
+    "+": (1, Add),
+    "-": (1, Monus),
+    "*": (2, Mul),
+    "/": (2, FloorDiv),
+    "%": (2, Mod),
+    "^": (3, Pow),
+}
+_SYMBOLS = {node: (symbol, level) for symbol, (level, node) in _OPERATORS.items()}
+_ATOM_LEVEL = 9
 
 
 @dataclass(frozen=True)
@@ -40,50 +51,18 @@ class ParseError(GcdLabError):
         self.span = span
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num", "ident", "op", "lparen", "rparen"
-    text: str
-    start: int
-    end: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _SPACE:
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("num", text[i:j], i, j))
-            i = j
-            continue
-        if ch in _IDENT_START:
-            j = i + 1
-            while j < n and text[j] in _IDENT_REST:
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i, j))
-            i = j
-            continue
-        if ch in _PRECEDENCE:
-            tokens.append(_Token("op", ch, i, i + 1))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", ch, i, i + 1))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ch, i, i + 1))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", SourceSpan(i, i + 1))
+def _tokenize(text: str) -> list[tuple[int, str, int]]:
+    """(kind, text, start offset) of each token; any bad character raises."""
+    tokens = [(m.lastindex, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    for kind, tok, start in tokens:
+        if kind == _BAD:
+            raise ParseError(f"unexpected character {tok!r}", SourceSpan(start, start + 1))
     return tokens
+
+
+def _error(message: str, token: tuple[int, str, int]) -> ParseError:
+    _, tok, start = token
+    return ParseError(message, SourceSpan(start, start + len(tok)))
 
 
 def parse_term(text: str) -> Term:
@@ -91,77 +70,81 @@ def parse_term(text: str) -> Term:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input", SourceSpan(0, len(text)))
-    term, pos = _parse_expr(tokens, 0, 1, len(text))
-    if pos != len(tokens):
-        tok = tokens[pos]
-        if tok.kind == "rparen":
-            raise ParseError("unbalanced parenthesis", SourceSpan(tok.start, tok.end))
-        raise ParseError(f"unexpected token {tok.text!r}", SourceSpan(tok.start, tok.end))
-    return term
+    operands: list[Term] = []
+    operators: list[tuple] = []
+    opens: list[tuple[int, str, int]] = []  # open parentheses, innermost last
 
+    def reduce(level: int) -> None:
+        while operators and operators[-1][0] >= level:
+            right = operands.pop()
+            operands[-1] = operators.pop()[1](operands[-1], right)
 
-def _parse_expr(tokens: list[_Token], pos: int, min_prec: int, end: int) -> tuple[Term, int]:
-    node, pos = _parse_atom(tokens, pos, end)
-    while pos < len(tokens) and tokens[pos].kind == "op":
-        op = tokens[pos].text
-        prec = _PRECEDENCE[op]
-        if prec < min_prec:
-            break
-        pos += 1
-        # right-associative ^ reenters at its own level, the rest one above
-        next_min = prec if op == "^" else prec + 1
-        rhs, pos = _parse_expr(tokens, pos, next_min, end)
-        node = _NODE[op](node, rhs)
-    return node, pos
-
-
-def _parse_atom(tokens: list[_Token], pos: int, end: int) -> tuple[Term, int]:
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of input", SourceSpan(end, end))
-    tok = tokens[pos]
-    if tok.kind == "num":
-        return Const(int(tok.text)), pos + 1
-    if tok.kind == "ident":
-        return Var(tok.text), pos + 1
-    if tok.kind == "lparen":
-        node, after = _parse_expr(tokens, pos + 1, 1, end)
-        if after >= len(tokens) or tokens[after].kind != "rparen":
-            raise ParseError("unbalanced parenthesis", SourceSpan(tok.start, tok.end))
-        return node, after + 1
-    raise ParseError(f"unexpected token {tok.text!r}", SourceSpan(tok.start, tok.end))
-
-
-_LEVEL = {Add: 1, Monus: 1, Mul: 2, FloorDiv: 2, Mod: 2, Pow: 3}
-_SYMBOL = {Add: "+", Monus: "-", Mul: "*", FloorDiv: "/", Mod: "%", Pow: "^"}
-_ATOM_LEVEL = 9
+    want_operand = True
+    for token in tokens:
+        kind, tok, _ = token
+        if want_operand:
+            if kind == _NUM:
+                try:
+                    operands.append(Const(int(tok)))
+                except ValueError:  # longer than sys.get_int_max_str_digits()
+                    raise _error(f"literal of {len(tok)} digits is too long", token) from None
+                want_operand = False
+            elif kind == _IDENT:
+                operands.append(Var(tok))
+                want_operand = False
+            elif kind == _OPEN:
+                operators.append((0, None))  # below every operator's level
+                opens.append(token)
+            else:
+                raise _error(f"unexpected token {tok!r}", token)
+        elif kind == _OP:
+            level, node = _OPERATORS[tok]
+            reduce(level + (node is Pow))  # an earlier ^ waits for a later one
+            operators.append((level, node))
+            want_operand = True
+        elif opens and kind == _CLOSE:
+            reduce(1)
+            operators.pop()
+            opens.pop()
+        elif opens:
+            raise _error("unbalanced parenthesis", opens[-1])
+        elif kind == _CLOSE:
+            raise _error("unbalanced parenthesis", token)
+        else:
+            raise _error(f"unexpected token {tok!r}", token)
+    if want_operand:
+        raise ParseError("unexpected end of input", SourceSpan(len(text), len(text)))
+    if opens:
+        raise _error("unbalanced parenthesis", opens[-1])
+    reduce(1)
+    return operands[0]
 
 
 def pretty_print(term: Term) -> str:
     """Render with the fewest parentheses that still parse back to this tree."""
-    text, _ = _render(term)
-    return text
 
+    def leaf(t: Term) -> tuple[deque, int]:
+        return deque((str(t.value) if type(t) is Const else t.name,)), _ATOM_LEVEL
 
-def _render(term: Term) -> tuple[str, int]:
-    if isinstance(term, Const):
-        return str(term.value), _ATOM_LEVEL
-    if isinstance(term, Var):
-        return term.name, _ATOM_LEVEL
-    level = _LEVEL[type(term)]
-    if isinstance(term, Pow):
-        left_child, right_child = term.base, term.exp
-    else:
-        left_child, right_child = term.left, term.right
-    left, left_level = _render(left_child)
-    right, right_level = _render(right_child)
-    if isinstance(term, Pow):
-        need_left, need_right = left_level <= level, right_level < level
-    else:
-        need_left, need_right = left_level < level, right_level <= level
-    if need_left:
-        left = f"({left})"
-    if need_right:
-        right = f"({right})"
-    symbol = _SYMBOL[type(term)]
-    joint = f" {symbol} " if level == 1 else symbol
-    return f"{left}{joint}{right}", level
+    def node(t: Term, left: tuple[deque, int], right: tuple[deque, int]) -> tuple[deque, int]:
+        (left, left_level), (right, right_level) = left, right
+        symbol, level = _SYMBOLS[type(t)]
+        right_assoc = type(t) is Pow
+        if left_level < level + right_assoc:
+            left.appendleft("(")
+            left.append(")")
+        if right_level < level + (not right_assoc):
+            right.appendleft("(")
+            right.append(")")
+        joint = f" {symbol} " if level == 1 else symbol
+        # join the shorter piece list onto the longer, so long chains stay linear
+        if len(left) >= len(right):
+            left.append(joint)
+            left.extend(right)
+            return left, level
+        right.appendleft(joint)
+        right.extendleft(reversed(left))
+        return right, level
+
+    pieces, _ = fold(term, leaf, node)
+    return "".join(pieces)

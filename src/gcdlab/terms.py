@@ -8,9 +8,10 @@ arbitrary-precision naturals and evaluation is exact.
 
 from __future__ import annotations
 
-import string
+import operator
+import re
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 from .errors import (
     DivisionByZero,
@@ -21,15 +22,12 @@ from .errors import (
 
 Env = Mapping[str, int]
 
-_IDENT_START = set(string.ascii_letters + "_")
-_IDENT_REST = set(string.ascii_letters + string.digits + "_")
-
-
-def is_identifier(name: str) -> bool:
-    """ASCII identifier: letter or underscore, then letters, digits, underscores."""
-    if not name or name[0] not in _IDENT_START:
-        return False
-    return all(ch in _IDENT_REST for ch in name[1:])
+# The one spelling of a variable name and of a natural literal, shared by the
+# AST, the parser's tokenizer and the CLI's --bind values.  ASCII only:
+# str.isidentifier and str.isdigit accept Unicode that int() and the
+# tokenizer reject.
+IDENTIFIER = "[A-Za-z_][A-Za-z0-9_]*"
+NATURAL = "[0-9]+"
 
 
 @dataclass(frozen=True)
@@ -46,49 +44,94 @@ class Var:
     name: str
 
     def __post_init__(self):
-        if not is_identifier(self.name):
+        if re.fullmatch(IDENTIFIER, self.name) is None:
             raise InvalidInput(f"not a valid variable name: {self.name!r}")
 
 
 @dataclass(frozen=True)
-class Add:
+class _Binary:
+    """An operator node: every one has exactly these two children."""
+
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Monus:
+class Add(_Binary):
+    """left + right."""
+
+
+class Monus(_Binary):
     """Truncated subtraction: left - right, or 0 when right exceeds left."""
 
-    left: "Term"
-    right: "Term"
+
+class Mul(_Binary):
+    """left * right."""
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Term"
-    right: "Term"
+class FloorDiv(_Binary):
+    """left // right; a zero right is an error."""
 
 
-@dataclass(frozen=True)
-class FloorDiv:
-    left: "Term"
-    right: "Term"
+class Pow(_Binary):
+    """left raised to the power right."""
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Term"
-    exp: "Term"
-
-
-@dataclass(frozen=True)
-class Mod:
-    left: "Term"
-    right: "Term"
+class Mod(_Binary):
+    """left % right, the least natural residue; a zero right is an error."""
 
 
 Term = Union[Const, Var, Add, Monus, Mul, FloorDiv, Pow, Mod]
+
+_LEFT_FIRST = frozenset((Add, Monus, Mul, FloorDiv, Mod))
+# Markers on the fold's work stack, above the node they belong to.
+_JOIN = object()  # both children folded: combine them, left then right
+_JOIN_POW = object()  # a Pow's exponent, then its base, folded: combine them
+_CHECK = object()  # a Pow's exponent folded, its base not yet visited
+
+
+def fold(term: Term, leaf: Callable, node: Callable, exponent: Callable = lambda value: None) -> Any:
+    """Fold a term bottom-up with an explicit stack, so depth is unbounded.
+
+    leaf(t) gives the value of a Const or Var, node(t, left, right) the value
+    of a binary node from the values of its children.  Children fold left
+    before right, except that a Pow folds its exponent first; exponent(value)
+    sees that value before the base is visited and may raise to stop the fold.
+    """
+    values: list = []
+    stack: list = [term]
+    pop, push = stack.pop, values.append
+    while stack:
+        t = pop()
+        kind = type(t)
+        if t is _JOIN:
+            right = values.pop()
+            values[-1] = node(pop(), values[-1], right)
+        elif kind is Const or kind is Var:
+            push(leaf(t))
+        elif kind in _LEFT_FIRST:
+            stack += (t, _JOIN, t.right, t.left)
+        elif kind is Pow:
+            stack += (t, _JOIN_POW, t.left, _CHECK, t.right)
+        elif t is _JOIN_POW:
+            base = values.pop()
+            values[-1] = node(pop(), base, values[-1])
+        elif t is _CHECK:
+            exponent(values[-1])
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return values[0]
+
+
+# 0^0 evaluates to 1 by definition, as Python's ** does
+_APPLY = {
+    Add: operator.add,
+    Monus: lambda left, right: left - right if left > right else 0,
+    Mul: operator.mul,
+    FloorDiv: operator.floordiv,
+    Mod: operator.mod,
+    Pow: operator.pow,
+}
+_BY_ZERO = {FloorDiv: "floor division by zero", Mod: "remainder by zero"}
 
 
 def evaluate(term: Term, env: Optional[Env] = None, max_exponent: Optional[int] = None) -> int:
@@ -99,85 +142,61 @@ def evaluate(term: Term, env: Optional[Env] = None, max_exponent: Optional[int] 
     """
     bindings: Env = env if env is not None else {}
 
-    def go(t: Term) -> int:
-        if isinstance(t, Const):
+    def leaf(t: Term) -> int:
+        if type(t) is Const:
             return t.value
-        if isinstance(t, Var):
-            try:
-                return bindings[t.name]
-            except KeyError:
-                raise UnboundVariable(t.name) from None
-        if isinstance(t, Add):
-            return go(t.left) + go(t.right)
-        if isinstance(t, Monus):
-            left, right = go(t.left), go(t.right)
-            return left - right if left > right else 0
-        if isinstance(t, Mul):
-            return go(t.left) * go(t.right)
-        if isinstance(t, FloorDiv):
-            left, right = go(t.left), go(t.right)
-            if right == 0:
-                raise DivisionByZero("floor division by zero")
-            return left // right
-        if isinstance(t, Mod):
-            left, right = go(t.left), go(t.right)
-            if right == 0:
-                raise DivisionByZero("remainder by zero")
-            return left % right
-        if isinstance(t, Pow):
-            exp = go(t.exp)
-            if max_exponent is not None and exp > max_exponent:
-                raise ExponentGuardExceeded(exp, max_exponent)
-            return go(t.base) ** exp  # 0^0 evaluates to 1 by definition
-        raise TypeError(f"not a term: {t!r}")
+        try:
+            return bindings[t.name]
+        except KeyError:
+            raise UnboundVariable(t.name) from None
 
-    return go(term)
+    def node(t: Term, left: int, right: int) -> int:
+        if right == 0 and type(t) in _BY_ZERO:
+            raise DivisionByZero(_BY_ZERO[type(t)])
+        return _APPLY[type(t)](left, right)
+
+    def guard(exp: int) -> None:
+        if max_exponent is not None and exp > max_exponent:
+            raise ExponentGuardExceeded(exp, max_exponent)
+
+    return fold(term, leaf, node, guard)
+
+
+def _rebuild(t: Term, left: Term, right: Term) -> Term:
+    """t with the given children, or t itself when they are its own."""
+    if left is t.left and right is t.right:
+        return t
+    return type(t)(left, right)
 
 
 def substitute(term: Term, env: Env) -> Term:
     """Replace each variable bound in env by its constant; others stay free."""
-    if isinstance(term, Const):
-        return term
-    if isinstance(term, Var):
-        if term.name in env:
-            return Const(env[term.name])
-        return term
-    if isinstance(term, Pow):
-        base, exp = substitute(term.base, env), substitute(term.exp, env)
-        if base is term.base and exp is term.exp:
-            return term
-        return Pow(base, exp)
-    left, right = substitute(term.left, env), substitute(term.right, env)
-    if left is term.left and right is term.right:
-        return term
-    return type(term)(left, right)
+
+    def leaf(t: Term) -> Term:
+        return Const(env[t.name]) if type(t) is Var and t.name in env else t
+
+    return fold(term, leaf, _rebuild)
 
 
 def desugar_mod(term: Term) -> Term:
     """Rewrite every remainder node as x - y*(x/y); the result has none left."""
-    if isinstance(term, (Const, Var)):
-        return term
-    if isinstance(term, Pow):
-        base, exp = desugar_mod(term.base), desugar_mod(term.exp)
-        if base is term.base and exp is term.exp:
-            return term
-        return Pow(base, exp)
-    left, right = desugar_mod(term.left), desugar_mod(term.right)
-    if isinstance(term, Mod):
-        return Monus(left, Mul(right, FloorDiv(left, right)))
-    if left is term.left and right is term.right:
-        return term
-    return type(term)(left, right)
+
+    def node(t: Term, left: Term, right: Term) -> Term:
+        if type(t) is Mod:
+            return Monus(left, Mul(right, FloorDiv(left, right)))
+        return _rebuild(t, left, right)
+
+    return fold(term, lambda t: t, node)
 
 
 def free_variables(term: Term) -> frozenset[str]:
-    if isinstance(term, Const):
-        return frozenset()
-    if isinstance(term, Var):
-        return frozenset((term.name,))
-    if isinstance(term, Pow):
-        return free_variables(term.base) | free_variables(term.exp)
-    return free_variables(term.left) | free_variables(term.right)
+    def node(t: Term, left: set, right: set) -> set:
+        if len(left) < len(right):  # smaller into larger: chains of distinct names stay fast
+            left, right = right, left
+        left |= right
+        return left
+
+    return frozenset(fold(term, lambda t: {t.name} if type(t) is Var else set(), node))
 
 
 def is_closed(term: Term) -> bool:
@@ -185,10 +204,4 @@ def is_closed(term: Term) -> bool:
 
 
 def contains_mod(term: Term) -> bool:
-    if isinstance(term, (Const, Var)):
-        return False
-    if isinstance(term, Mod):
-        return True
-    if isinstance(term, Pow):
-        return contains_mod(term.base) or contains_mod(term.exp)
-    return contains_mod(term.left) or contains_mod(term.right)
+    return fold(term, lambda t: False, lambda t, left, right: left or right or type(t) is Mod)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gcdlab.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -52,6 +54,31 @@ def test_eval_bad_binding(capsys):
     code, _, err = run(capsys, "eval", "x", "--bind", "x=-3")
     assert code == EXIT_ERROR
     assert "bad binding" in err
+
+
+@pytest.mark.parametrize("binding", ["a=٣", "π=3"])
+def test_eval_binding_is_ascii(capsys, binding):
+    code, out, err = run(capsys, "eval", "1", "--bind", binding)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert "bad binding" in err
+
+
+# The robustness probes: deep nesting, long chains and a Unicode digit once
+# escaped main as RecursionError or ValueError.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("eval", "(" * 2000 + "1" + ")" * 2000), (EXIT_OK, "1\n")),
+        (("eval", "+".join(["1"] * 50_000)), (EXIT_OK, "50000\n")),
+        (("eval", "^".join(["1"] * 5_000)), (EXIT_OK, "1\n")),
+        (("eval", "a+1", "--bind", "a=²"), (EXIT_ERROR, "")),
+    ],
+    ids=["parentheses", "plus-chain", "power-chain", "unicode-digit"],
+)
+def test_robustness_probes_end_in_an_exit_code(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == expected
+    assert "Traceback" not in err
 
 
 def test_eval_exponent_guard_flag(capsys):

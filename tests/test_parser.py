@@ -1,6 +1,7 @@
 """Surface syntax: grammar, precedence, error spans, and round-tripping."""
 
 import random
+import sys
 
 import pytest
 
@@ -45,6 +46,19 @@ def test_long_literal_parses_exactly():
     term = parse_term(digits)
     assert term == Const(int(digits))
     assert pretty_print(term) == digits
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_literal_above_the_digit_limit_is_a_parse_error():
+    # cli.main lifts the limit for the whole process, so set it here
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse_term("1 + " + "7" * 4301)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert exc.value.span == SourceSpan(4, 4305)
 
 
 def test_empty_input_rejected():

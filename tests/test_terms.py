@@ -98,6 +98,16 @@ def test_exponent_guard_sees_nested_power_values():
         evaluate(term, max_exponent=2**26)
 
 
+def test_exponent_is_refused_before_the_base_is_visited():
+    with pytest.raises(ExponentGuardExceeded):
+        evaluate(Pow(Var("x"), Pow(Const(2), Const(40))), max_exponent=2**26)
+
+
+def test_left_operand_is_evaluated_first():
+    with pytest.raises(DivisionByZero):
+        evaluate(Add(FloorDiv(Const(1), Const(0)), Var("y")))
+
+
 def test_substitute_examples():
     term = Add(Var("a"), Var("b"))
     assert substitute(term, {"a": 3}) == Add(Const(3), Var("b"))

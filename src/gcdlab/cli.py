@@ -64,10 +64,8 @@ class VerificationReport:
     mismatches: list[Mismatch]
     elapsed_ms: float
 
-    def documented_mismatches(self) -> Optional[set[tuple[int, int]]]:
-        """Exception pairs that fall inside the grid, or None when unknown."""
-        if self.formula.exceptions is None:
-            return None
+    def documented_mismatches(self) -> set[tuple[int, int]]:
+        """Exception pairs that fall inside the grid."""
         return {
             (a, b)
             for (a, b) in self.formula.exceptions
@@ -130,11 +128,8 @@ def run_verification(
 
 
 def report_exit_code(report: VerificationReport) -> int:
-    """0 when observed mismatches are exactly the documented ones (or the
-    exception set is unknown and the run is merely empirical), else 3."""
+    """0 when observed mismatches are exactly the documented ones, else 3."""
     documented = report.documented_mismatches()
-    if documented is None:
-        return EXIT_OK
     observed = {(m.a, m.b) for m in report.mismatches}
     return EXIT_OK if observed == documented else EXIT_VIOLATION
 
@@ -144,11 +139,7 @@ def _exponent_limit(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        term = parse_term(args.expr)
-    except ParseError as e:
-        print(f"syntax error: {e.message} at {e.span.start}..{e.span.end}", file=sys.stderr)
-        return EXIT_SYNTAX
+    term = parse_term(args.expr)
     env = {}
     for binding in args.bind or []:
         name, sep, value = binding.partition("=")
@@ -156,12 +147,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             print(f"bad binding {binding!r}, expected NAME=NATURAL", file=sys.stderr)
             return EXIT_ERROR
         env[name] = int(value)
-    try:
-        result = evaluate(term, env, max_exponent=_exponent_limit(args))
-    except GcdLabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    print(result)
+    print(evaluate(term, env, max_exponent=_exponent_limit(args)))
     return EXIT_OK
 
 
@@ -174,42 +160,31 @@ def _warn_exception_pair(f: GcdFormula, a: int, b: int) -> None:
 
 
 def _cmd_gcd(args: argparse.Namespace) -> int:
-    try:
-        f = gcd_formula(Variant(args.variant), args.base)
-        if args.a < 1 or args.b < 1:
-            raise InvalidInput("a and b must be at least 1")
-        if f.exceptions and (args.a, args.b) in f.exceptions:
-            _warn_exception_pair(f, args.a, args.b)
-        value = gcd_via_formula(f, args.a, args.b, max_exponent=_exponent_limit(args))
-    except GcdLabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    print(value)
+    f = gcd_formula(Variant(args.variant), args.base)
+    if args.a < 1 or args.b < 1:
+        raise InvalidInput("a and b must be at least 1")
+    if (args.a, args.b) in f.exceptions:
+        _warn_exception_pair(f, args.a, args.b)
+    print(gcd_via_formula(f, args.a, args.b, max_exponent=_exponent_limit(args)))
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        f = gcd_formula(Variant(args.variant), args.base)
-        mode = args.mode or ("term" if f.variant is Variant.MAZZANTI else "fast")
-        if mode == "fast" and f.variant is Variant.MAZZANTI:
-            print("note: mazzanti has no fast path, evaluating terms", file=sys.stderr)
-        report = run_verification(f, args.max, mode, max_exponent=_exponent_limit(args))
-    except GcdLabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
+    f = gcd_formula(Variant(args.variant), args.base)
+    mode = args.mode or ("term" if f.variant is Variant.MAZZANTI else "fast")
+    if mode == "fast" and f.variant is Variant.MAZZANTI:
+        print("note: mazzanti has no fast path, evaluating terms", file=sys.stderr)
+    report = run_verification(f, args.max, mode, max_exponent=_exponent_limit(args))
 
-    if f.exceptions:
-        for ea, eb in sorted(f.exceptions):
-            if ea <= args.max and eb <= args.max:
-                _warn_exception_pair(f, ea, eb)
     documented = report.documented_mismatches()
+    for ea, eb in sorted(documented):
+        _warn_exception_pair(f, ea, eb)
     if not args.json:
         print(f"variant={f.variant.value} base={f.base} max={args.max} mode={report.mode}")
         print(f"pairs checked: {args.max * args.max}")
         print(f"mismatches: {len(report.mismatches)}")
         for m in report.mismatches:
-            note = " (documented exception)" if documented and (m.a, m.b) in documented else ""
+            note = " (documented exception)" if (m.a, m.b) in documented else ""
             print(f"  a={m.a} b={m.b} got={m.got} expected={m.expected}{note}")
         print(f"elapsed: {report.elapsed_ms:.1f} ms")
     payload = json.dumps(report.json_dict())
@@ -221,23 +196,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except OSError as e:
             print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
             return EXIT_ERROR
-    if documented is None and report.mismatches:
-        print(
-            f"note: base {f.base} has no documented exception set; "
-            f"{len(report.mismatches)} empirical mismatch(es) reported",
-            file=sys.stderr,
-        )
     return report_exit_code(report)
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    try:
-        f = RationalFunction(parse_polynomial(args.num), parse_polynomial(args.den))
-        params = check_extraction_conditions(f, args.base, args.check_to)
-        value = extract_coefficient(f, args.base, args.n)
-    except GcdLabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
+    f = RationalFunction(parse_polynomial(args.num), parse_polynomial(args.den))
+    params = check_extraction_conditions(f, args.base, args.check_to)
+    value = extract_coefficient(f, args.base, args.n)
     if args.n < params.m:
         print(
             f"warning: n={args.n} is below the valid rank m={params.m}; "
@@ -264,13 +229,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"bad pair {text!r}, expected A,B with naturals >= 1", file=sys.stderr)
             return EXIT_ERROR
         pairs.append(pair)
-    records = []
-    try:
-        for a, b in pairs:  # strictly sequential, one pair at a time
-            records.append(bench_compare(a, b, args.base, args.reps))
-    except GcdLabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
+    # strictly sequential, one pair at a time
+    records = [bench_compare(a, b, args.base, args.reps) for a, b in pairs]
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             if args.json:
@@ -393,7 +353,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact decimal output at any size
     args = build_arg_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ParseError as e:
+        print(f"syntax error: {e.message} at {e.span.start}..{e.span.end}", file=sys.stderr)
+        return EXIT_SYNTAX
+    except GcdLabError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -24,16 +24,15 @@ class Variant(enum.Enum):
 
 @dataclass(frozen=True)
 class GcdFormula:
-    """A formula variant plus the pairs it is documented to get wrong.
+    """A formula variant plus the exact set of pairs it gets wrong.
 
-    exceptions is None when the base lies outside the characterized set
-    {2, 3, 4, 5}; verification then reports mismatches empirically instead
-    of judging them.
+    The set is proved for every base (README, "Why it works"): {(1, 1)} for
+    div-mod and mod-mod at bases 2, 3 and 4, and empty otherwise.
     """
 
     variant: Variant
     base: int
-    exceptions: Optional[frozenset[tuple[int, int]]]
+    exceptions: frozenset[tuple[int, int]]
 
 
 def gcd_formula(variant: Variant | str, base: int = 5) -> GcdFormula:
@@ -49,14 +48,7 @@ def gcd_formula(variant: Variant | str, base: int = 5) -> GcdFormula:
         return GcdFormula(variant, 2, frozenset())
     if base < 2:
         raise BaseTooSmall(f"exponentiation base must be at least 2, got {base}")
-    exceptions: Optional[frozenset[tuple[int, int]]]
-    if base == 5:
-        exceptions = frozenset()
-    elif base in (2, 3, 4):
-        exceptions = frozenset({(1, 1)})
-    else:
-        exceptions = None
-    return GcdFormula(variant, base, exceptions)
+    return GcdFormula(variant, base, frozenset({(1, 1)}) if base <= 4 else frozenset())
 
 
 _A = Var("a")

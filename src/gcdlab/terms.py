@@ -55,6 +55,28 @@ class _Binary:
     left: "Term"
     right: "Term"
 
+    # Written out, not generated, so that depth is unbounded: equality walks
+    # an explicit stack of node pairs and hashing is a fold.  Both stay
+    # class-exact, as the generated ones are.
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            x, y = pairs.pop()
+            if x is y:
+                continue
+            if type(x) is not type(y):
+                return False
+            if isinstance(x, _Binary):
+                pairs += ((x.right, y.right), (x.left, y.left))
+            elif x != y:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return fold(self, hash, lambda t, left, right: hash((type(t), left, right)))
+
 
 class Add(_Binary):
     """left + right."""

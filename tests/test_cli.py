@@ -233,6 +233,12 @@ def test_extract_no_valid_rank_is_an_error(capsys):
     assert "growth condition" in err
 
 
+def test_extract_check_window_is_bounded(capsys):
+    code, out, err = run(capsys, "extract", "1", "1,-2,1", "--n", "4", "--check-to", "1000000000000")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: check window must be at most 10000, got 1000000000000\n"
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     path = tmp_path / "bench.csv"
     code, out, _ = run(capsys, "bench", "--pair", "4,6", "--reps", "2", "--out", str(path))

@@ -25,6 +25,11 @@ def test_deep_term_survives_every_walk(name):
     term = parse_term(text)
     assert pretty_print(term) == (printed or text)
 
+    twin = parse_term(text)
+    assert twin is not term
+    assert twin == term and hash(twin) == hash(term)
+    assert parse_term(text.replace("a", "b")) != term  # differs at the deepest leaf
+
     assert evaluate(term, {"a": A}) == value
     assert free_variables(term) == {"a"}
     assert contains_mod(term) is has_mod

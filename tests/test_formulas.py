@@ -1,10 +1,13 @@
 """The formula catalog against the Euclid oracle."""
 
+import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from gcdlab.cli import EXIT_OK, main
 from gcdlab.errors import BaseTooSmall, ExponentGuardExceeded, InvalidInput, Underflow
 from gcdlab.formulas import (
     Variant,
@@ -17,6 +20,7 @@ from gcdlab.formulas import (
     mazzanti_gcd_term,
     modmod_gcd_value,
 )
+from gcdlab.modular import modmod_signed_value
 from gcdlab.parser import parse_term
 from gcdlab.series import extract_coefficient, f_ab
 from gcdlab.terms import contains_mod, desugar_mod, evaluate, free_variables, substitute
@@ -51,12 +55,67 @@ def test_catalog_metadata():
     for base in (2, 3, 4):
         assert gcd_formula(Variant.DIVMOD, base).exceptions == frozenset({(1, 1)})
         assert gcd_formula(Variant.MODMOD, base).exceptions == frozenset({(1, 1)})
-    assert gcd_formula(Variant.DIVMOD, 7).exceptions is None
-    assert gcd_formula(Variant.MODMOD, 6).exceptions is None
+    assert gcd_formula(Variant.DIVMOD, 7).exceptions == frozenset()
+    assert gcd_formula(Variant.MODMOD, 6).exceptions == frozenset()
     with pytest.raises(BaseTooSmall):
         gcd_formula(Variant.DIVMOD, 1)
     with pytest.raises(BaseTooSmall):
         divmod_gcd_term(0)
+
+
+def _tail_bound(c, n):
+    """U(c, n) = (n+1)x/(1-x) + x/(1-x)^2 with x = c^-n, exactly.
+
+    It bounds the tail T = sum over k >= 1 of s(n+k) c^(-nk) of the div-mod
+    quotient at n = ab, using s(n) <= n + 1 (acceptance criterion 6).
+    """
+    x = Fraction(1, c**n)
+    return (n + 1) * x / (1 - x) + x / (1 - x) ** 2
+
+
+def _corner(c):
+    """(base, ab) where the bound is largest in the band of bases holding c,
+    over the ab it is claimed for."""
+    return (5, 1) if c >= 5 else (3, 2) if c >= 3 else (2, 3)
+
+
+def test_exception_sets_are_proved():
+    """The README's argument, mechanized: where U < 1 both variants equal
+    gcd, and the finite rest is checked exhaustively."""
+    assert _tail_bound(5, 1) == Fraction(13, 16)
+    assert _tail_bound(3, 2) == Fraction(33, 64)
+    assert _tail_bound(2, 3) == Fraction(36, 49)
+    # U falls as c or n grows, so each band's corner bounds the band; and
+    # c^n > n + 2 >= gcd + 2 there, so s(ab) = gcd + 1 < cap - 1
+    for c in range(2, 17):
+        corner = _corner(c)
+        assert _tail_bound(*corner) < 1
+        for n in range(corner[1], 13):
+            assert _tail_bound(c, n) <= _tail_bound(*corner)
+            assert c**n > n + 2
+
+    # the finite rest lies within ab <= 2 at bases 2..4
+    for c in (2, 3, 4):
+        for variant in (Variant.DIVMOD, Variant.MODMOD):
+            assert gcd_formula(variant, c).exceptions == {(1, 1)}
+        divmod_formula = gcd_formula(Variant.DIVMOD, c)
+        for a, b in ((1, 1), (1, 2), (2, 1)):
+            right = (a, b) != (1, 1)
+            assert (gcd_via_formula(divmod_formula, a, b) == euclid_gcd(a, b)) is right
+            assert (modmod_signed_value(a, b, c) == euclid_gcd(a, b)) is right
+    for c in range(5, 17):
+        for variant in (Variant.DIVMOD, Variant.MODMOD):
+            assert gcd_formula(variant, c).exceptions == frozenset()
+
+
+@pytest.mark.parametrize("variant", ["divmod", "modmod"])
+def test_bases_above_five_verify_clean(capsys, variant):
+    for base in range(6, 17):
+        argv = ["verify", "--variant", variant, "--base", str(base), "--max", "8", "--mode", "term"]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert json.loads(captured.out.splitlines()[-1])["mismatches"] == []
+        assert captured.err == ""
 
 
 def test_catalog_accepts_variant_names():

@@ -2,6 +2,12 @@
 multiply exponentiation, the double-mod quotient identity with checked
 hypotheses, and the fast path for the mod-mod gcd formula, plus a timing
 harness comparing it against materialize-and-divide.
+
+The fast path never squares numbers the size of the divisor. Every exponent
+in the formula is a multiple of n = ab, so it reduces Y^(n+a+b) modulo
+(Y^a - 1)(Y^b - 1) in Z[Y], a polynomial of a + b small coefficients, and
+evaluates that at Y = c^n. Square-and-multiply (fast_pow_mod) stays as the
+reference the tests check the route against.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ import random
 import statistics
 import time
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from typing import NamedTuple
 
 from .errors import (
@@ -126,10 +133,48 @@ def _formula_parts(a: int, b: int, c: int) -> tuple[int, int, int]:
     return exponent, divisor, cap
 
 
+def power_residue(a: int, b: int) -> list[int]:
+    """Coefficients, lowest degree first, of Y^(ab+a+b) mod (Y^a - 1)(Y^b - 1).
+
+    The remainder is taken in Z[Y]; the modulus is monic of degree a + b, so
+    every step reduces with Y^(a+b) = Y^a + Y^b - 1 and the a + b
+    coefficients stay small integers.
+    """
+    m = a + b
+
+    def reduce(poly: list[int]) -> list[int]:
+        for i in range(len(poly) - 1, m - 1, -1):
+            top = poly[i]
+            if top:
+                poly[i - m] -= top
+                poly[i - a] += top
+                poly[i - b] += top
+        return poly[:m]
+
+    residue = [1] + [0] * (m - 1)
+    for bit in bin(a * b + a + b)[2:]:
+        square = [0] * (2 * m - 1)
+        for i, x in enumerate(residue):
+            if x:
+                for j, y in enumerate(residue, i):
+                    square[j] += x * y
+        residue = reduce(square)
+        if bit == "1":
+            residue = reduce([0] + residue)
+    return residue
+
+
 def modmod_signed_value(a: int, b: int, c: int) -> int:
-    """Mod-mod formula value, allowed to go negative outside the validity domain."""
-    exponent, divisor, cap = _formula_parts(a, b, c)
-    residue = fast_pow_mod(c, exponent, divisor)
+    """Mod-mod formula value, allowed to go negative outside the validity domain.
+
+    With w = c^(ab), c^E = w^(ab+a+b), D = (w^a - 1)(w^b - 1) and cap = w, so
+    mapping Y to w carries power_residue(a, b) to a number R with
+    c^E = R (mod D): the full-size power is never formed.
+    """
+    _, divisor, cap = _formula_parts(a, b, c)
+    residue = 0
+    for coefficient in reversed(power_residue(a, b)):
+        residue = residue * cap + coefficient
     return mod_euclidean(-residue, divisor) % cap - 2
 
 
@@ -154,6 +199,27 @@ def divmod_direct_value(a: int, b: int, c: int) -> int:
     exponent, divisor, cap = _formula_parts(a, b, c)
     inner = c**exponent // divisor % cap
     return inner - 1 if inner > 0 else 0
+
+
+def power_bit_length(c: int, e: int) -> int:
+    """(c**e).bit_length() for c >= 2 and e >= 0, forming c**e only if it must.
+
+    The bit length is floor(e * log2(c)) + 1: exact in integers when c is a
+    power of two. Otherwise e * log2(c) is computed in Decimal, where ln is
+    correctly rounded and the product and quotient round once each, so the
+    relative error stays below 2 * 10^(1 - prec). The estimate plus or minus
+    ten times that brackets the true value; when the bracket contains an
+    integer the floor is not certain and the power is formed.
+    """
+    if c & (c - 1) == 0:
+        return e * (c.bit_length() - 1) + 1
+    with localcontext(Context(prec=e.bit_length() // 3 + 30)) as ctx:
+        estimate = Decimal(e) * Decimal(c).ln() / Decimal(2).ln()
+        slack = estimate.scaleb(2 - ctx.prec)
+        low, high = int(estimate - slack), int(estimate + slack)
+    if low == high:
+        return low + 1
+    return (c**e).bit_length()
 
 
 BENCH_CSV_HEADER = "a,b,c,bits_A,divmod_ns,modmod_ns,equal"
@@ -194,7 +260,7 @@ def bench_compare(a: int, b: int, c: int, repetitions: int) -> BenchRecord:
     if repetitions < 1:
         raise InvalidInput("repetitions must be at least 1")
     exponent, _, _ = _formula_parts(a, b, c)
-    bits = (c**exponent).bit_length()
+    bits = power_bit_length(c, exponent)
 
     divmod_value = modmod_value = 0
     divmod_times = []

@@ -56,8 +56,9 @@ class _Binary:
     right: "Term"
 
     # Written out, not generated, so that depth is unbounded: equality walks
-    # an explicit stack of node pairs and hashing is a fold.  Both stay
-    # class-exact, as the generated ones are.
+    # an explicit stack of node pairs, hashing is a fold, and repr emits its
+    # pieces from an explicit stack.  All three give what the generated ones
+    # do: equality and hashing stay class-exact, repr keeps its text.
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -76,6 +77,20 @@ class _Binary:
 
     def __hash__(self) -> int:
         return fold(self, hash, lambda t, left, right: hash((type(t), left, right)))
+
+    def __repr__(self) -> str:
+        pieces = []
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            if type(t) is str:
+                pieces.append(t)
+            elif isinstance(t, _Binary):
+                pieces.append(f"{type(t).__qualname__}(left=")
+                stack += (")", t.right, ", right=", t.left)
+            else:
+                pieces.append(repr(t))
+        return "".join(pieces)
 
 
 class Add(_Binary):

@@ -4,7 +4,7 @@ exhausting the interpreter's recursion limit."""
 import pytest
 
 from gcdlab.parser import parse_term, pretty_print
-from gcdlab.terms import Monus, contains_mod, desugar_mod, evaluate, free_variables, substitute
+from gcdlab.terms import Monus, contains_mod, desugar_mod, evaluate, fold, free_variables, substitute
 
 DEPTH = 10**5
 A = 100
@@ -29,6 +29,9 @@ def test_deep_term_survives_every_walk(name):
     assert twin is not term
     assert twin == term and hash(twin) == hash(term)
     assert parse_term(text.replace("a", "b")) != term  # differs at the deepest leaf
+    nodes = fold(term, lambda t: 0, lambda t, left, right: left + right + 1)
+    shown = repr(term)
+    assert shown == repr(twin) and shown.count("(left=") == nodes
 
     assert evaluate(term, {"a": A}) == value
     assert free_variables(term) == {"a"}

@@ -19,6 +19,8 @@ from gcdlab.modular import (
     modmod_direct_signed,
     modmod_fast_value,
     modmod_signed_value,
+    power_bit_length,
+    power_residue,
     random_identity_instance,
     validate_identity_instance,
 )
@@ -152,6 +154,47 @@ def test_fast_path_equals_materializing_path():
                 assert modmod_signed_value(a, b, base) == modmod_direct_signed(a, b, base)
 
 
+def _exponent_divisor_cap(a, b, c):
+    """E, D and cap written out here, apart from the module's own builder."""
+    n = a * b
+    return n * (n + a + b), (c ** (a * n) - 1) * (c ** (b * n) - 1), c**n
+
+
+def test_route_equals_square_and_multiply_on_grid():
+    for c in range(2, 17):
+        for a in range(1, 17):
+            for b in range(1, 17):
+                exponent, divisor, cap = _exponent_divisor_cap(a, b, c)
+                expected = (-fast_pow_mod(c, exponent, divisor)) % divisor % cap - 2
+                assert modmod_signed_value(a, b, c) == expected, (a, b, c)
+
+
+@pytest.mark.parametrize("a, b", [(24, 31), (32, 32), (40, 40)])
+def test_route_equals_builtin_pow_at_scale(a, b):
+    exponent, divisor, cap = _exponent_divisor_cap(a, b, 5)
+    assert modmod_signed_value(a, b, 5) == (-pow(5, exponent, divisor)) % divisor % cap - 2
+
+
+def test_residue_constant_coefficient_is_minus_s_of_ab():
+    # s(ab) = gcd(a, b) + 1 counts the solutions of a*x + b*y = ab
+    for a in range(1, 41):
+        for b in range(1, 41):
+            residue = power_residue(a, b)
+            assert len(residue) == a + b
+            assert residue[0] == -(euclid_gcd(a, b) + 1), (a, b)
+
+
+def test_fast_mode_agreement_implies_the_term_agrees():
+    # a nonzero mod-mod left-hand side equals 1 + (q mod cap), so mod-mod
+    # reading gcd means div-mod reads gcd too
+    for c in range(2, 17):
+        for a in range(1, 13):
+            for b in range(1, 13):
+                gcd = euclid_gcd(a, b)
+                if modmod_signed_value(a, b, c) == gcd:
+                    assert divmod_direct_value(a, b, c) == gcd, (a, b, c)
+
+
 def test_modmod_matches_euclid_on_grid():
     for a in range(1, 13):
         for b in range(1, 13):
@@ -163,6 +206,18 @@ def test_divmod_direct_value_clamps_like_the_term():
     assert divmod_direct_value(1, 1, 3) == 0
     assert divmod_direct_value(1, 1, 4) == 2
     assert divmod_direct_value(12, 18, 5) == 6
+
+
+def test_power_bit_length_matches_materializing():
+    for c in range(2, 17):
+        for a in range(1, 13):
+            for b in range(1, 13):
+                exponent = _exponent_divisor_cap(a, b, c)[0]
+                assert power_bit_length(c, exponent) == (c**exponent).bit_length(), (a, b, c)
+    for a, b in [(16, 16), (24, 24), (28, 28), (32, 32), (24, 31)]:  # up to 2.59M bits
+        exponent = _exponent_divisor_cap(a, b, 5)[0]
+        assert power_bit_length(5, exponent) == (5**exponent).bit_length(), (a, b)
+    assert power_bit_length(7, 0) == power_bit_length(8, 0) == 1
 
 
 def test_bench_compare_record_shape():

@@ -187,3 +187,13 @@ def test_free_variables():
     assert free_variables(term) == {"a", "b"}
     assert is_closed(Const(5))
     assert not is_closed(Var("q"))
+
+
+def test_repr_is_the_dataclass_text():
+    assert repr(Add(Const(1), Var("a"))) == "Add(left=Const(value=1), right=Var(name='a'))"
+    term = Pow(Mod(Var("x"), Const(7)), Monus(Mul(Const(2), Var("y")), FloorDiv(Const(9), Const(4))))
+    assert repr(term) == (
+        "Pow(left=Mod(left=Var(name='x'), right=Const(value=7)), "
+        "right=Monus(left=Mul(left=Const(value=2), right=Var(name='y')), "
+        "right=FloorDiv(left=Const(value=9), right=Const(value=4))))"
+    )

@@ -114,7 +114,7 @@ def run_verification(
                 if use_fast:
                     got = modmod_signed_value(a, b, f.base)
                 else:
-                    got = modmod_direct_signed(a, b, f.base)
+                    got = modmod_direct_signed(a, b, f.base, max_exponent)
             elif use_fast:
                 got = modmod_signed_value(a, b, f.base)
                 if got != expected:
@@ -135,6 +135,8 @@ def report_exit_code(report: VerificationReport) -> int:
 
 
 def _exponent_limit(args: argparse.Namespace) -> int:
+    if args.max_exponent_bits < 0:
+        raise InvalidInput(f"--max-exponent-bits must be at least 0, got {args.max_exponent_bits}")
     return 1 << args.max_exponent_bits
 
 
@@ -161,8 +163,6 @@ def _warn_exception_pair(f: GcdFormula, a: int, b: int) -> None:
 
 def _cmd_gcd(args: argparse.Namespace) -> int:
     f = gcd_formula(Variant(args.variant), args.base)
-    if args.a < 1 or args.b < 1:
-        raise InvalidInput("a and b must be at least 1")
     if (args.a, args.b) in f.exceptions:
         _warn_exception_pair(f, args.a, args.b)
     print(gcd_via_formula(f, args.a, args.b, max_exponent=_exponent_limit(args)))

@@ -117,9 +117,7 @@ def euclid_gcd(a: int, b: int) -> int:
     return a
 
 
-def modmod_gcd_value(a: int, b: int, c: int) -> int:
-    """Mod-mod formula value through the fast modular path."""
-    return modular.modmod_fast_value(a, b, c)
+modmod_gcd_value = modular.modmod_fast_value
 
 
 def gcd_via_formula(f: GcdFormula, a: int, b: int, max_exponent: Optional[int] = None) -> int:
@@ -131,7 +129,7 @@ def gcd_via_formula(f: GcdFormula, a: int, b: int, max_exponent: Optional[int] =
     if a < 1 or b < 1:
         raise InvalidInput("gcd arguments must be at least 1")
     if f.variant is Variant.MODMOD:
-        return modular.modmod_fast_value(a, b, f.base)
+        return modular.modmod_fast_value(a, b, f.base, max_exponent)
     closed = substitute(formula_term(f), {"a": a, "b": b})
     return evaluate(closed, max_exponent=max_exponent)
 

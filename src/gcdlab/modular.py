@@ -4,10 +4,11 @@ hypotheses, and the fast path for the mod-mod gcd formula, plus a timing
 harness comparing it against materialize-and-divide.
 
 The fast path never squares numbers the size of the divisor. Every exponent
-in the formula is a multiple of n = ab, so it reduces Y^(n+a+b) modulo
-(Y^a - 1)(Y^b - 1) in Z[Y], a polynomial of a + b small coefficients, and
-evaluates that at Y = c^n. Square-and-multiply (fast_pow_mod) stays as the
-reference the tests check the route against.
+in the formula is a multiple of n = ab, so it takes Y^(n+a+b) modulo
+(Y^a - 1)(Y^b - 1), a polynomial of a + b small coefficients that Fiduccia's
+formula reads off the series counts, and evaluates that at Y = c^n.
+Square-and-multiply (fast_pow_mod) stays as the reference the tests check
+the route against.
 """
 
 from __future__ import annotations
@@ -17,15 +18,17 @@ import statistics
 import time
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .errors import (
     BaseTooSmall,
+    ExponentGuardExceeded,
     InvalidInput,
     InvalidModulus,
     PreconditionViolated,
     Underflow,
 )
+from .series import count_solutions
 
 
 def mod_euclidean(x: int, y: int) -> int:
@@ -121,13 +124,19 @@ def random_identity_instance(seed: int) -> ModIdentityInstance:
     return FALLBACK_IDENTITY_INSTANCE
 
 
-def _formula_parts(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """Exponent of the big power, the divisor product, and the cap modulus."""
+def _formula_parts(a: int, b: int, c: int, max_exponent: Optional[int] = None) -> tuple[int, int, int]:
+    """Exponent of the big power, the divisor product, and the cap modulus.
+
+    An exponent above max_exponent, when given, raises ExponentGuardExceeded
+    before any power is formed.
+    """
     if a < 1 or b < 1:
         raise InvalidInput("formula arguments must be at least 1")
     if c < 2:
         raise BaseTooSmall(f"formula base must be at least 2, got {c}")
     exponent = a * b * (a * b + a + b)
+    if max_exponent is not None and exponent > max_exponent:
+        raise ExponentGuardExceeded(exponent, max_exponent)
     divisor = (c ** (a * a * b) - 1) * (c ** (a * b * b) - 1)
     cap = c ** (a * b)
     return exponent, divisor, cap
@@ -136,51 +145,39 @@ def _formula_parts(a: int, b: int, c: int) -> tuple[int, int, int]:
 def power_residue(a: int, b: int) -> list[int]:
     """Coefficients, lowest degree first, of Y^(ab+a+b) mod (Y^a - 1)(Y^b - 1).
 
-    The remainder is taken in Z[Y]; the modulus is monic of degree a + b, so
-    every step reduces with Y^(a+b) = Y^a + Y^b - 1 and the a + b
-    coefficients stay small integers.
+    Fiduccia's formula reads the remainder off the counts s(m) of natural
+    solutions of a*x + b*y = m, the series of 1/((1 - t^a)(1 - t^b)): with
+    N = ab + a + b, coefficient i is
+    s(N - i) - [i < a] s(N - b - i) - [i < b] s(N - a - i).
+    README, "Why it works", proves it.
     """
     m = a + b
-
-    def reduce(poly: list[int]) -> list[int]:
-        for i in range(len(poly) - 1, m - 1, -1):
-            top = poly[i]
-            if top:
-                poly[i - m] -= top
-                poly[i - a] += top
-                poly[i - b] += top
-        return poly[:m]
-
-    residue = [1] + [0] * (m - 1)
-    for bit in bin(a * b + a + b)[2:]:
-        square = [0] * (2 * m - 1)
-        for i, x in enumerate(residue):
-            if x:
-                for j, y in enumerate(residue, i):
-                    square[j] += x * y
-        residue = reduce(square)
-        if bit == "1":
-            residue = reduce([0] + residue)
-    return residue
+    top = a * b + m
+    step, other = max(a, b), min(a, b)  # s is symmetric; the larger step makes fewer trials
+    counts = [count_solutions(step, other, top - k) for k in range(m)]  # counts[k] = s(N - k)
+    return [
+        counts[i] - (counts[i + b] if i < a else 0) - (counts[i + a] if i < b else 0)
+        for i in range(m)
+    ]
 
 
-def modmod_signed_value(a: int, b: int, c: int) -> int:
+def modmod_signed_value(a: int, b: int, c: int, max_exponent: Optional[int] = None) -> int:
     """Mod-mod formula value, allowed to go negative outside the validity domain.
 
     With w = c^(ab), c^E = w^(ab+a+b), D = (w^a - 1)(w^b - 1) and cap = w, so
     mapping Y to w carries power_residue(a, b) to a number R with
     c^E = R (mod D): the full-size power is never formed.
     """
-    _, divisor, cap = _formula_parts(a, b, c)
+    _, divisor, cap = _formula_parts(a, b, c, max_exponent)
     residue = 0
     for coefficient in reversed(power_residue(a, b)):
         residue = residue * cap + coefficient
     return mod_euclidean(-residue, divisor) % cap - 2
 
 
-def modmod_fast_value(a: int, b: int, c: int) -> int:
+def modmod_fast_value(a: int, b: int, c: int, max_exponent: Optional[int] = None) -> int:
     """Fast mod-mod gcd value; the giant power is never materialized."""
-    value = modmod_signed_value(a, b, c)
+    value = modmod_signed_value(a, b, c, max_exponent)
     if value < 0:
         raise Underflow(
             f"mod-mod value {value} below zero: ({a}, {b}) lies outside base {c}'s validity domain"
@@ -188,9 +185,9 @@ def modmod_fast_value(a: int, b: int, c: int) -> int:
     return value
 
 
-def modmod_direct_signed(a: int, b: int, c: int) -> int:
+def modmod_direct_signed(a: int, b: int, c: int, max_exponent: Optional[int] = None) -> int:
     """Same value as modmod_signed_value, but materializing the full power."""
-    exponent, divisor, cap = _formula_parts(a, b, c)
+    exponent, divisor, cap = _formula_parts(a, b, c, max_exponent)
     return mod_euclidean(-(c**exponent), divisor) % cap - 2
 
 

@@ -111,6 +111,27 @@ def test_gcd_modmod_underflow_is_an_error(capsys):
 def test_gcd_rejects_zero(capsys):
     code, _, err = run(capsys, "gcd", "0", "9", "--variant", "divmod")
     assert code == EXIT_ERROR
+    assert err == "error: gcd arguments must be at least 1\n"
+
+
+# mod-mod never forms c^E, but it refuses the same exponent E = ab(ab+a+b)
+# that the div-mod term refuses, before building any power
+@pytest.mark.parametrize("variant", ["divmod", "modmod"])
+@pytest.mark.parametrize(
+    "argv, exponent",
+    [(("gcd", "30", "30"), 864000), (("verify", "--mode", "term", "--max", "3"), 21)],
+    ids=["gcd", "verify-term"],
+)
+def test_exponent_guard_refuses_both_variants(capsys, variant, argv, exponent):
+    code, out, err = run(capsys, *argv, "--variant", variant, "--max-exponent-bits", "4")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: exponent {exponent} exceeds the guard limit 16\n"
+
+
+def test_negative_guard_bits_is_an_input_error(capsys):
+    code, out, err = run(capsys, "eval", "1", "--max-exponent-bits", "-1")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: --max-exponent-bits must be at least 0, got -1\n"
 
 
 def test_verify_divmod_base5_clean(capsys):

@@ -175,6 +175,27 @@ def test_route_equals_builtin_pow_at_scale(a, b):
     assert modmod_signed_value(a, b, 5) == (-pow(5, exponent, divisor)) % divisor % cap - 2
 
 
+def _residue_by_long_division(a, b):
+    """Y^(ab+a+b) mod (Y^a - 1)(Y^b - 1), rewriting Y^(a+b) as
+    Y^a + Y^b - 1 from the top degree down."""
+    m = a + b
+    poly = [0] * (a * b + m) + [1]
+    for i in range(len(poly) - 1, m - 1, -1):
+        top = poly[i]
+        poly[i - m] -= top
+        poly[i - a] += top
+        poly[i - b] += top
+    return poly[:m]
+
+
+def test_residue_is_the_polynomial_remainder():
+    # the route tests evaluate the residue at Y = w only; this pins every
+    # coefficient of the unique remainder
+    for a in range(1, 25):
+        for b in range(1, 25):
+            assert power_residue(a, b) == _residue_by_long_division(a, b), (a, b)
+
+
 def test_residue_constant_coefficient_is_minus_s_of_ab():
     # s(ab) = gcd(a, b) + 1 counts the solutions of a*x + b*y = ab
     for a in range(1, 41):

@@ -325,6 +325,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_extract = sub.add_parser("extract", help="extract a series coefficient")
+    p_extract._negative_number_matcher = re.compile(r"^-\d")  # "-1,1" is a polynomial, not an option
     p_extract.add_argument("num", help="numerator coefficients, lowest first, e.g. '1'")
     p_extract.add_argument("den", help="denominator coefficients, e.g. '1,-2,1'")
     p_extract.add_argument("--base", type=int, default=5, help="extraction base (default %(default)s)")

@@ -3,12 +3,12 @@ multiply exponentiation, the double-mod quotient identity with checked
 hypotheses, and the fast path for the mod-mod gcd formula, plus a timing
 harness comparing it against materialize-and-divide.
 
-The fast path never squares numbers the size of the divisor. Every exponent
-in the formula is a multiple of n = ab, so it takes Y^(n+a+b) modulo
-(Y^a - 1)(Y^b - 1), a polynomial of a + b small coefficients that Fiduccia's
-formula reads off the series counts, and evaluates that at Y = c^n.
-Square-and-multiply (fast_pow_mod) stays as the reference the tests check
-the route against.
+The fast path works in small integers. Every exponent in the formula is a
+multiple of n = ab, so it takes Y^(n+a+b) modulo (Y^a - 1)(Y^b - 1), whose
+a + b small coefficients Fiduccia's formula reads off the series counts, and
+where they certify the residue's sign and size at Y = c^n the value is read
+off the constant coefficient; elsewhere it is materialized. fast_pow_mod and
+built-in pow stay as the references the tests check the route against.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     PreconditionViolated,
     Underflow,
 )
-from .series import count_solutions
 
 
 def mod_euclidean(x: int, y: int) -> int:
@@ -124,12 +123,9 @@ def random_identity_instance(seed: int) -> ModIdentityInstance:
     return FALLBACK_IDENTITY_INSTANCE
 
 
-def _formula_parts(a: int, b: int, c: int, max_exponent: Optional[int] = None) -> tuple[int, int, int]:
-    """Exponent of the big power, the divisor product, and the cap modulus.
-
-    An exponent above max_exponent, when given, raises ExponentGuardExceeded
-    before any power is formed.
-    """
+def _formula_exponent(a: int, b: int, c: int, max_exponent: Optional[int] = None) -> int:
+    """E = ab(ab + a + b) for a, b >= 1 and c >= 2; an E above max_exponent,
+    when given, raises ExponentGuardExceeded. No power is formed."""
     if a < 1 or b < 1:
         raise InvalidInput("formula arguments must be at least 1")
     if c < 2:
@@ -137,9 +133,14 @@ def _formula_parts(a: int, b: int, c: int, max_exponent: Optional[int] = None) -
     exponent = a * b * (a * b + a + b)
     if max_exponent is not None and exponent > max_exponent:
         raise ExponentGuardExceeded(exponent, max_exponent)
-    divisor = (c ** (a * a * b) - 1) * (c ** (a * b * b) - 1)
-    cap = c ** (a * b)
-    return exponent, divisor, cap
+    return exponent
+
+
+def _formula_parts(a: int, b: int, c: int, max_exponent: Optional[int] = None) -> tuple[int, int, int]:
+    """E, the divisor product and the cap modulus, for the materializing paths."""
+    exponent = _formula_exponent(a, b, c, max_exponent)
+    n = a * b
+    return exponent, (c ** (a * n) - 1) * (c ** (b * n) - 1), c**n
 
 
 def power_residue(a: int, b: int) -> list[int]:
@@ -149,34 +150,38 @@ def power_residue(a: int, b: int) -> list[int]:
     solutions of a*x + b*y = m, the series of 1/((1 - t^a)(1 - t^b)): with
     N = ab + a + b, coefficient i is
     s(N - i) - [i < a] s(N - b - i) - [i < b] s(N - a - i).
-    README, "Why it works", proves it.
+    README, "Why it works", proves it. The counts s(ab + 1), ..., s(N) come
+    from one pass over the solutions with ab < a*x + b*y <= N.
     """
     m = a + b
     top = a * b + m
-    step, other = max(a, b), min(a, b)  # s is symmetric; the larger step makes fewer trials
-    counts = [count_solutions(step, other, top - k) for k in range(m)]  # counts[k] = s(N - k)
-    return [
-        counts[i] - (counts[i + b] if i < a else 0) - (counts[i + a] if i < b else 0)
-        for i in range(m)
-    ]
+    step, other = max(a, b), min(a, b)  # the larger step makes fewer passes
+    counts = [0] * (2 * m)  # counts[k] = s(N - k) for k < m; the zeros above are the brackets
+    for rest in range(top, -1, -step):  # rest = N - step*x
+        for k in range(rest % other, min(rest + 1, m), other):  # k = rest - other*y
+            counts[k] += 1
+    return [counts[i] - counts[i + b] - counts[i + a] for i in range(m)]
 
 
 def modmod_signed_value(a: int, b: int, c: int, max_exponent: Optional[int] = None) -> int:
     """Mod-mod formula value, allowed to go negative outside the validity domain.
 
-    With w = c^(ab), c^E = w^(ab+a+b), D = (w^a - 1)(w^b - 1) and cap = w, so
-    mapping Y to w carries power_residue(a, b) to a number R with
-    c^E = R (mod D): the full-size power is never formed.
+    With w = c^(ab) = cap and D = (w^a - 1)(w^b - 1), Y -> w carries
+    r = power_residue(a, b) to R = c^E (mod D), with D = 1 and R = r_0 (mod w).
+    A positive leading coefficient, r_0 <= 1 and 2^(ab) >= max |r_i| + 3
+    certify 0 < R < D (README, "Why it works"), so the value is (1 - r_0) - 2
+    and no number of the size of w is formed; otherwise it is materialized.
     """
-    _, divisor, cap = _formula_parts(a, b, c, max_exponent)
-    residue = 0
-    for coefficient in reversed(power_residue(a, b)):
-        residue = residue * cap + coefficient
-    return mod_euclidean(-residue, divisor) % cap - 2
+    _formula_exponent(a, b, c, max_exponent)
+    residue = power_residue(a, b)
+    leading = next(coefficient for coefficient in reversed(residue) if coefficient)
+    if leading > 0 and residue[0] <= 1 and a * b >= (max(map(abs, residue)) + 3).bit_length():
+        return -1 - residue[0]
+    return modmod_direct_signed(a, b, c)
 
 
 def modmod_fast_value(a: int, b: int, c: int, max_exponent: Optional[int] = None) -> int:
-    """Fast mod-mod gcd value; the giant power is never materialized."""
+    """Fast mod-mod gcd value; only the tiny pairs below the certificate form the power."""
     value = modmod_signed_value(a, b, c, max_exponent)
     if value < 0:
         raise Underflow(
@@ -256,8 +261,7 @@ def bench_compare(a: int, b: int, c: int, repetitions: int) -> BenchRecord:
     """
     if repetitions < 1:
         raise InvalidInput("repetitions must be at least 1")
-    exponent, _, _ = _formula_parts(a, b, c)
-    bits = power_bit_length(c, exponent)
+    bits = power_bit_length(c, _formula_exponent(a, b, c))
 
     divmod_value = modmod_value = 0
     divmod_times = []

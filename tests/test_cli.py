@@ -260,6 +260,15 @@ def test_extract_check_window_is_bounded(capsys):
     assert err == "error: check window must be at most 10000, got 1000000000000\n"
 
 
+def test_extract_takes_a_polynomial_with_a_leading_minus(capsys):
+    # -1/(-1 + z) = 1/(1 - z): every coefficient is 1
+    expected = "1\nrank m = 3 (growth s(n) < 5^(n-2) checked empirically up to n = 50)\n"
+    assert run(capsys, "extract", "-1", "-1,1", "--n", "3") == (EXIT_OK, expected, "")
+    assert run(capsys, "extract", "--n", "3", "--", "-1", "-1,1") == (EXIT_OK, expected, "")
+    code, out, err = run(capsys, "extract", "1", "-1,1", "--n", "3")
+    assert (code, out, err) == (EXIT_ERROR, "", "error: series coefficient s(0) = -1 is negative\n")
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     path = tmp_path / "bench.csv"
     code, out, _ = run(capsys, "bench", "--pair", "4,6", "--reps", "2", "--out", str(path))

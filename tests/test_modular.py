@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import gcdlab.modular
 from gcdlab.errors import InvalidInput, InvalidModulus, PreconditionViolated, Underflow
 from gcdlab.formulas import euclid_gcd
 from gcdlab.modular import (
@@ -24,6 +25,7 @@ from gcdlab.modular import (
     random_identity_instance,
     validate_identity_instance,
 )
+from gcdlab.series import count_solutions
 
 
 def test_mod_euclidean_examples():
@@ -203,6 +205,76 @@ def test_residue_constant_coefficient_is_minus_s_of_ab():
             residue = power_residue(a, b)
             assert len(residue) == a + b
             assert residue[0] == -(euclid_gcd(a, b) + 1), (a, b)
+
+
+def _residue_by_fiduccia(a, b):
+    """Fiduccia's formula over separate direct counts s(m), one call per m."""
+    top = a * b + a + b
+
+    def s(m):
+        return count_solutions(a, b, m)
+
+    return [
+        s(top - i) - (s(top - b - i) if i < a else 0) - (s(top - a - i) if i < b else 0)
+        for i in range(a + b)
+    ]
+
+
+def test_residue_equals_fiduccia_over_direct_counts():
+    for a in range(1, 41):
+        for b in range(1, 41):
+            assert power_residue(a, b) == _residue_by_fiduccia(a, b), (a, b)
+
+
+def test_residue_leading_coefficient_is_s_of_ab_plus_gcd():
+    # r ends at index a + b - gcd(a, b) with s(ab + gcd) > 0, so the
+    # certificate's sign condition holds on this whole range
+    for a in range(1, 41):
+        for b in range(1, 41):
+            g = euclid_gcd(a, b)
+            residue = power_residue(a, b)
+            assert residue[a + b - g + 1 :] == [0] * (g - 1), (a, b)
+            assert residue[a + b - g] == count_solutions(a, b, a * b + g) > 0, (a, b)
+
+
+def _certified(a, b):
+    """The route's certificate, written with 2^(ab) in full."""
+    residue = power_residue(a, b)
+    leading = [r for r in residue if r][-1]
+    return leading > 0 and residue[0] <= 1 and 2 ** (a * b) >= max(map(abs, residue)) + 3
+
+
+def test_materializing_runs_exactly_where_the_certificate_fails(monkeypatch):
+    reference = {
+        (a, b, c): modmod_direct_signed(a, b, c)
+        for c in range(2, 17)
+        for a in range(1, 17)
+        for b in range(1, 17)
+    }
+    # modmod_direct_signed is the fallback, and _formula_parts the only
+    # builder of numbers the size of w = c^(ab)
+    fallbacks = []
+
+    def recording_fallback(a, b, c, max_exponent=None):
+        fallbacks.append((a, b, c))
+        return reference[a, b, c]
+
+    def refusing_parts(a, b, c, max_exponent=None):
+        raise AssertionError(f"the route built the divisor at {(a, b, c)}")
+
+    monkeypatch.setattr(gcdlab.modular, "modmod_direct_signed", recording_fallback)
+    monkeypatch.setattr(gcdlab.modular, "_formula_parts", refusing_parts)
+    for (a, b, c), expected in reference.items():
+        assert modmod_signed_value(a, b, c) == expected, (a, b, c)
+    expected_fallbacks = [key for key in reference if not _certified(key[0], key[1])]
+    assert fallbacks == expected_fallbacks
+    assert {(a, b) for a, b, _ in fallbacks} == {(1, 1), (1, 2), (2, 1)}
+
+
+@pytest.mark.parametrize("a, b", [(1, 64), (64, 1), (3, 64)])
+def test_route_equals_builtin_pow_on_lopsided_pairs(a, b):
+    exponent, divisor, cap = _exponent_divisor_cap(a, b, 2)
+    assert modmod_signed_value(a, b, 2) == (-pow(2, exponent, divisor)) % divisor % cap - 2
 
 
 def test_fast_mode_agreement_implies_the_term_agrees():

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from .bigint import to_str
 from .errors import GcdLabError, InvalidInput
 from .formulas import (
     GcdFormula,
@@ -149,7 +150,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             print(f"bad binding {binding!r}, expected NAME=NATURAL", file=sys.stderr)
             return EXIT_ERROR
         env[name] = int(value)
-    print(evaluate(term, env, max_exponent=_exponent_limit(args)))
+    print(to_str(evaluate(term, env, max_exponent=_exponent_limit(args))))
     return EXIT_OK
 
 
@@ -352,7 +353,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # exact decimal output at any size
+        sys.set_int_max_str_digits(0)  # literals of any length; from 3.12 on, str() of any result
     args = build_arg_parser().parse_args(argv)
     try:
         return args.handler(args)

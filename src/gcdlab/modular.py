@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from typing import NamedTuple, Optional
 
+from .bigint import floordiv, mod
 from .errors import (
     BaseTooSmall,
     ExponentGuardExceeded,
@@ -34,7 +35,7 @@ def mod_euclidean(x: int, y: int) -> int:
     """Least nonnegative residue of x modulo y, for either sign of x."""
     if y < 1:
         raise InvalidModulus(f"modulus must be positive, got {y}")
-    return x % y
+    return mod(x, y)
 
 
 def fast_pow_mod(base: int, exp: int, modulus: int) -> int:
@@ -193,13 +194,13 @@ def modmod_fast_value(a: int, b: int, c: int, max_exponent: Optional[int] = None
 def modmod_direct_signed(a: int, b: int, c: int, max_exponent: Optional[int] = None) -> int:
     """Same value as modmod_signed_value, but materializing the full power."""
     exponent, divisor, cap = _formula_parts(a, b, c, max_exponent)
-    return mod_euclidean(-(c**exponent), divisor) % cap - 2
+    return mod(mod_euclidean(-(c**exponent), divisor), cap) - 2
 
 
 def divmod_direct_value(a: int, b: int, c: int) -> int:
     """Div-mod formula by materializing the full power; clamped at 0 like the term."""
     exponent, divisor, cap = _formula_parts(a, b, c)
-    inner = c**exponent // divisor % cap
+    inner = mod(floordiv(c**exponent, divisor), cap)
     return inner - 1 if inner > 0 else 0
 
 

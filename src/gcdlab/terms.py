@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Union
 
+from . import bigint
 from .errors import (
     DivisionByZero,
     ExponentGuardExceeded,
@@ -164,8 +165,8 @@ _APPLY = {
     Add: operator.add,
     Monus: lambda left, right: left - right if left > right else 0,
     Mul: operator.mul,
-    FloorDiv: operator.floordiv,
-    Mod: operator.mod,
+    FloorDiv: bigint.floordiv,
+    Mod: bigint.mod,
     Pow: operator.pow,
 }
 _BY_ZERO = {FloorDiv: "floor division by zero", Mod: "remainder by zero"}

@@ -10,6 +10,7 @@ or bench saw the two paths disagree).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -40,7 +41,7 @@ from .series import (
     extract_coefficient,
     parse_polynomial,
 )
-from .terms import IDENTIFIER, NATURAL, evaluate, substitute
+from .terms import evaluate, match_identifier, match_natural, substitute
 
 EXIT_OK = 0
 EXIT_SYNTAX = 1
@@ -146,7 +147,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     env = {}
     for binding in args.bind or []:
         name, sep, value = binding.partition("=")
-        if not sep or not re.fullmatch(IDENTIFIER, name) or not re.fullmatch(NATURAL, value):
+        if not sep or not match_identifier(name) or not match_natural(value):
             print(f"bad binding {binding!r}, expected NAME=NATURAL", file=sys.stderr)
             return EXIT_ERROR
         env[name] = int(value)
@@ -351,10 +352,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_arg_parser() -> argparse.ArgumentParser:
+    """One parser per process: parse_args keeps no state in it between calls."""
+    return build_arg_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # literals of any length; from 3.12 on, str() of any result
-    args = build_arg_parser().parse_args(argv)
+    args = _shared_arg_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ParseError as e:

@@ -13,27 +13,35 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import GcdLabError
 from .terms import IDENTIFIER, NATURAL, Add, Const, FloorDiv, Mod, Monus, Mul, Pow, Term, Var, fold
 
-# token kinds: the number of the regex group that matched
-_NUM, _IDENT, _OP, _OPEN, _CLOSE, _BAD = range(1, 7)
-# finditer skips what no group matches: the last group takes every character
-# but the four spaces, so only they are skipped.
-_TOKEN = re.compile(rf"({NATURAL})|({IDENTIFIER})|([-+*/%^])|(\()|(\))|([^ \t\r\n])")
+# One search over the whole text finds the first character outside the
+# grammar (its classes are those of NATURAL and IDENTIFIER), so a bad
+# character wins over any syntax error.  After it, what findall skips can
+# only be a space, \t, \r or \n.
+_BAD = re.compile(r"[^-+*/%^()0-9A-Za-z_ \t\r\n]")
+_TOKEN = re.compile(f"{NATURAL}|{IDENTIFIER}|[-+*/%^()]")
 
-# operator -> (level, node class); only ^ associates to the right
+# operator -> (level, reduce threshold, node class): reading an operator
+# first reduces every stacked one whose level reaches the threshold.  Only ^
+# associates to the right, so its threshold is one above its level: an
+# earlier ^ waits for a later one.
 _OPERATORS = {
-    "+": (1, Add),
-    "-": (1, Monus),
-    "*": (2, Mul),
-    "/": (2, FloorDiv),
-    "%": (2, Mod),
-    "^": (3, Pow),
+    "+": (1, 1, Add),
+    "-": (1, 1, Monus),
+    "*": (2, 2, Mul),
+    "/": (2, 2, FloorDiv),
+    "%": (2, 2, Mod),
+    "^": (3, 4, Pow),
 }
-_SYMBOLS = {node: (symbol, level) for symbol, (level, node) in _OPERATORS.items()}
+_SYMBOLS = {node: (symbol, level) for symbol, (level, _, node) in _OPERATORS.items()}
 _ATOM_LEVEL = 9
+# the operator stack's floor, and its entry for an open parenthesis: below
+# every operator's threshold, so a reduction stops there
+_FLOOR = (0, 0, None)
 
 
 @dataclass(frozen=True)
@@ -51,72 +59,67 @@ class ParseError(GcdLabError):
         self.span = span
 
 
-def _tokenize(text: str) -> list[tuple[int, str, int]]:
-    """(kind, text, start offset) of each token; any bad character raises."""
-    tokens = [(m.lastindex, m.group(), m.start()) for m in _TOKEN.finditer(text)]
-    for kind, tok, start in tokens:
-        if kind == _BAD:
-            raise ParseError(f"unexpected character {tok!r}", SourceSpan(start, start + 1))
-    return tokens
-
-
-def _error(message: str, token: tuple[int, str, int]) -> ParseError:
-    _, tok, start = token
-    return ParseError(message, SourceSpan(start, start + len(tok)))
+def _error(message: str, text: str, index: int) -> ParseError:
+    """The error at the token of this index, its offsets found only now."""
+    token = next(islice(_TOKEN.finditer(text), index, None))
+    return ParseError(message, SourceSpan(*token.span()))
 
 
 def parse_term(text: str) -> Term:
     """Parse source text into a term, or raise ParseError with a span."""
-    tokens = _tokenize(text)
+    bad = _BAD.search(text)
+    if bad is not None:
+        raise ParseError(f"unexpected character {bad.group()!r}", SourceSpan(bad.start(), bad.end()))
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty input", SourceSpan(0, len(text)))
     operands: list[Term] = []
-    operators: list[tuple] = []
-    opens: list[tuple[int, str, int]] = []  # open parentheses, innermost last
-
-    def reduce(level: int) -> None:
-        while operators and operators[-1][0] >= level:
-            right = operands.pop()
-            operands[-1] = operators.pop()[1](operands[-1], right)
-
+    operators = [_FLOOR]  # entries of _OPERATORS, and _FLOOR at each open parenthesis
+    opens: list[int] = []  # token indices of the open parentheses, innermost last
     want_operand = True
-    for token in tokens:
-        kind, tok, _ = token
+    for index, tok in enumerate(tokens):
         if want_operand:
-            if kind == _NUM:
+            if tok == "(":
+                operators.append(_FLOOR)
+                opens.append(index)
+                continue
+            if tok.isdigit():
                 try:
                     operands.append(Const(int(tok)))
                 except ValueError:  # longer than sys.get_int_max_str_digits()
-                    raise _error(f"literal of {len(tok)} digits is too long", token) from None
-                want_operand = False
-            elif kind == _IDENT:
-                operands.append(Var(tok))
-                want_operand = False
-            elif kind == _OPEN:
-                operators.append((0, None))  # below every operator's level
-                opens.append(token)
+                    raise _error(f"literal of {len(tok)} digits is too long", text, index) from None
+            elif tok in _OPERATORS or tok == ")":
+                raise _error(f"unexpected token {tok!r}", text, index)
             else:
-                raise _error(f"unexpected token {tok!r}", token)
-        elif kind == _OP:
-            level, node = _OPERATORS[tok]
-            reduce(level + (node is Pow))  # an earlier ^ waits for a later one
-            operators.append((level, node))
+                operands.append(Var(tok))
+            want_operand = False
+        elif tok in _OPERATORS:
+            operator = _OPERATORS[tok]
+            threshold = operator[1]
+            while operators[-1][0] >= threshold:
+                right = operands.pop()
+                operands[-1] = operators.pop()[2](operands[-1], right)
+            operators.append(operator)
             want_operand = True
-        elif opens and kind == _CLOSE:
-            reduce(1)
+        elif opens and tok == ")":
+            while operators[-1][0]:
+                right = operands.pop()
+                operands[-1] = operators.pop()[2](operands[-1], right)
             operators.pop()
             opens.pop()
         elif opens:
-            raise _error("unbalanced parenthesis", opens[-1])
-        elif kind == _CLOSE:
-            raise _error("unbalanced parenthesis", token)
+            raise _error("unbalanced parenthesis", text, opens[-1])
+        elif tok == ")":
+            raise _error("unbalanced parenthesis", text, index)
         else:
-            raise _error(f"unexpected token {tok!r}", token)
+            raise _error(f"unexpected token {tok!r}", text, index)
     if want_operand:
         raise ParseError("unexpected end of input", SourceSpan(len(text), len(text)))
     if opens:
-        raise _error("unbalanced parenthesis", opens[-1])
-    reduce(1)
+        raise _error("unbalanced parenthesis", text, opens[-1])
+    while operators[-1][0]:
+        right = operands.pop()
+        operands[-1] = operators.pop()[2](operands[-1], right)
     return operands[0]
 
 

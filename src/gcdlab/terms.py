@@ -29,6 +29,8 @@ Env = Mapping[str, int]
 # tokenizer reject.
 IDENTIFIER = "[A-Za-z_][A-Za-z0-9_]*"
 NATURAL = "[0-9]+"
+match_identifier = re.compile(IDENTIFIER).fullmatch
+match_natural = re.compile(NATURAL).fullmatch
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class Var:
     name: str
 
     def __post_init__(self):
-        if re.fullmatch(IDENTIFIER, self.name) is None:
+        if match_identifier(self.name) is None:
             raise InvalidInput(f"not a valid variable name: {self.name!r}")
 
 
@@ -160,16 +162,28 @@ def fold(term: Term, leaf: Callable, node: Callable, exponent: Callable = lambda
     return values[0]
 
 
-# 0^0 evaluates to 1 by definition, as Python's ** does
+class _Apply:
+    """evaluate's marker on its work stack, above a node's children: once
+    both are evaluated, fn(left value, right value) is the node's value."""
+
+    __slots__ = ("fn", "by_zero")
+
+    def __init__(self, fn: Callable[[int, int], int], by_zero: Optional[str] = None):
+        self.fn = fn
+        self.by_zero = by_zero  # the error when the right value is 0, if that is one
+
+
+# A private type, so no object a caller puts in a tree can pass for one.  A
+# Pow's exponent is evaluated first, so its right value is the base; 0^0
+# evaluates to 1 by definition, as Python's ** does.
 _APPLY = {
-    Add: operator.add,
-    Monus: lambda left, right: left - right if left > right else 0,
-    Mul: operator.mul,
-    FloorDiv: bigint.floordiv,
-    Mod: bigint.mod,
-    Pow: operator.pow,
+    Add: _Apply(operator.add),
+    Monus: _Apply(lambda left, right: left - right if left > right else 0),
+    Mul: _Apply(operator.mul),
+    FloorDiv: _Apply(bigint.floordiv, "floor division by zero"),
+    Mod: _Apply(bigint.mod, "remainder by zero"),
+    Pow: _Apply(lambda exponent, base: base**exponent),
 }
-_BY_ZERO = {FloorDiv: "floor division by zero", Mod: "remainder by zero"}
 
 
 def evaluate(term: Term, env: Optional[Env] = None, max_exponent: Optional[int] = None) -> int:
@@ -177,27 +191,38 @@ def evaluate(term: Term, env: Optional[Env] = None, max_exponent: Optional[int] 
 
     max_exponent, when given, bounds the value any exponent may take: a larger
     one raises ExponentGuardExceeded instead of attempting a gigantic power.
+    Children are evaluated in fold's order, so the first error fold would
+    meet is the one raised.
     """
     bindings: Env = env if env is not None else {}
-
-    def leaf(t: Term) -> int:
-        if type(t) is Const:
-            return t.value
-        try:
-            return bindings[t.name]
-        except KeyError:
-            raise UnboundVariable(t.name) from None
-
-    def node(t: Term, left: int, right: int) -> int:
-        if right == 0 and type(t) in _BY_ZERO:
-            raise DivisionByZero(_BY_ZERO[type(t)])
-        return _APPLY[type(t)](left, right)
-
-    def guard(exp: int) -> None:
-        if max_exponent is not None and exp > max_exponent:
-            raise ExponentGuardExceeded(exp, max_exponent)
-
-    return fold(term, leaf, node, guard)
+    values: list[int] = []
+    stack: list = [term]
+    pop, push = stack.pop, values.append
+    while stack:
+        t = pop()
+        kind = type(t)
+        if kind is _Apply:
+            right = values.pop()
+            if right == 0 and t.by_zero:
+                raise DivisionByZero(t.by_zero)
+            values[-1] = t.fn(values[-1], right)
+        elif kind is Const:
+            push(t.value)
+        elif kind is Var:
+            try:
+                push(bindings[t.name])
+            except KeyError:
+                raise UnboundVariable(t.name) from None
+        elif kind in _LEFT_FIRST:
+            stack += (_APPLY[kind], t.right, t.left)
+        elif kind is Pow:
+            stack += (_APPLY[Pow], t.left, _CHECK, t.right)
+        elif t is _CHECK:
+            if max_exponent is not None and values[-1] > max_exponent:
+                raise ExponentGuardExceeded(values[-1], max_exponent)
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return values[0]
 
 
 def _rebuild(t: Term, left: Term, right: Term) -> Term:

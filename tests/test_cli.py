@@ -9,6 +9,7 @@ from gcdlab.cli import (
     EXIT_OK,
     EXIT_SYNTAX,
     EXIT_VIOLATION,
+    build_arg_parser,
     main,
     report_exit_code,
     run_verification,
@@ -56,7 +57,7 @@ def test_eval_bad_binding(capsys):
     assert "bad binding" in err
 
 
-@pytest.mark.parametrize("binding", ["a=٣", "π=3"])
+@pytest.mark.parametrize("binding", ["a=٣", "π=3", "a=1\n", "a\n=1", "a="])
 def test_eval_binding_is_ascii(capsys, binding):
     code, out, err = run(capsys, "eval", "1", "--bind", binding)
     assert (code, out) == (EXIT_ERROR, "")
@@ -87,6 +88,32 @@ def test_eval_exponent_guard_flag(capsys):
     assert "exceeds" in err
     code, out, _ = run(capsys, "eval", "2^100")
     assert (code, out.strip()) == (EXIT_OK, str(2**100))
+
+
+@pytest.mark.parametrize(
+    "expr, err",
+    [
+        # the exponent is checked before the base is visited
+        ("(1/0)^(2^27)", "error: exponent 134217728 exceeds the guard limit 67108864\n"),
+        ("(1/0)^2", "error: floor division by zero\n"),
+    ],
+)
+def test_eval_power_errors(capsys, expr, err):
+    assert run(capsys, "eval", expr) == (EXIT_ERROR, "", err)
+
+
+def test_the_shared_argument_parser_keeps_no_state_between_calls(capsys):
+    assert run(capsys, "eval", "a+b", "--bind", "a=1", "--bind", "b=2") == (EXIT_OK, "3\n", "")
+    assert run(capsys, "eval", "a+b", "--bind", "a=1") == (EXIT_ERROR, "", "error: unbound variable: b\n")
+    with pytest.raises(SystemExit):
+        main(["eval"])
+    capsys.readouterr()
+    code, out, _ = run(capsys, "verify", "--variant", "divmod", "--max", "3", "--mode", "term", "--json")
+    assert code == EXIT_OK and json.loads(out)["range_max"] == 3
+    code, out, _ = run(capsys, "verify", "--variant", "divmod", "--max", "3")
+    assert code == EXIT_OK
+    assert out.startswith("variant=divmod base=5 max=3 mode=fast\npairs checked: 9\n")
+    assert build_arg_parser() is not build_arg_parser()
 
 
 def test_gcd_all_variants(capsys):

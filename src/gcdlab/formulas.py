@@ -13,6 +13,8 @@ from typing import Optional
 from . import modular
 from .errors import BaseTooSmall, InvalidInput
 from .parser import pretty_print
+# substitute is imported, though no route calls it, because the benchmark's
+# tracer wraps it as formulas.substitute
 from .terms import Add, Const, FloorDiv, Mod, Monus, Mul, Pow, Term, Var, evaluate, substitute
 
 
@@ -120,18 +122,34 @@ def euclid_gcd(a: int, b: int) -> int:
 modmod_gcd_value = modular.modmod_fast_value
 
 
-def gcd_via_formula(f: GcdFormula, a: int, b: int, max_exponent: Optional[int] = None) -> int:
-    """Instantiate the variant at (a, b) and evaluate exactly.
+def formula_value(
+    f: GcdFormula, a: int, b: int, fast: bool = False, max_exponent: Optional[int] = None
+) -> int:
+    """The variant's value at (a, b): the one place that picks the route.
 
-    No correctness promise when (a, b) is in f.exceptions; the mod-mod
-    variant raises Underflow there, the term variants return a wrong value.
+    The exact route evaluates the term with a and b bound, or materializes
+    the power for mod-mod. fast takes the small-integer mod-mod route for
+    div-mod and mod-mod; mazzanti has none and evaluates its term. Both
+    routes refuse an exponent above max_exponent, when given.
+    """
+    if fast and f.variant is not Variant.MAZZANTI:
+        return modular.modmod_signed_value(a, b, f.base, max_exponent)
+    if f.variant is Variant.MODMOD:
+        return modular.modmod_direct_signed(a, b, f.base, max_exponent)
+    return evaluate(formula_term(f), {"a": a, "b": b}, max_exponent)
+
+
+def gcd_via_formula(f: GcdFormula, a: int, b: int, max_exponent: Optional[int] = None) -> int:
+    """The variant's exact value at (a, b).
+
+    Mod-mod takes its fast route, which is exact. No correctness promise
+    when (a, b) is in f.exceptions; the mod-mod variant raises Underflow
+    there, the term variants return a wrong value.
     """
     if a < 1 or b < 1:
         raise InvalidInput("gcd arguments must be at least 1")
-    if f.variant is Variant.MODMOD:
-        return modular.modmod_fast_value(a, b, f.base, max_exponent)
-    closed = substitute(formula_term(f), {"a": a, "b": b})
-    return evaluate(closed, max_exponent=max_exponent)
+    value = formula_value(f, a, b, f.variant is Variant.MODMOD, max_exponent)
+    return modular.natural_or_underflow(value, a, b, f.base)
 
 
 def describe(f: GcdFormula) -> str:

@@ -18,7 +18,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bigint import floordiv, mod
 from .errors import (
@@ -181,14 +181,18 @@ def modmod_signed_value(a: int, b: int, c: int, max_exponent: Optional[int] = No
     return modmod_direct_signed(a, b, c)
 
 
-def modmod_fast_value(a: int, b: int, c: int, max_exponent: Optional[int] = None) -> int:
-    """Fast mod-mod gcd value; only the tiny pairs below the certificate form the power."""
-    value = modmod_signed_value(a, b, c, max_exponent)
+def natural_or_underflow(value: int, a: int, b: int, c: int) -> int:
+    """A formula value at (a, b) in base c, or Underflow when it is negative."""
     if value < 0:
         raise Underflow(
             f"mod-mod value {value} below zero: ({a}, {b}) lies outside base {c}'s validity domain"
         )
     return value
+
+
+def modmod_fast_value(a: int, b: int, c: int, max_exponent: Optional[int] = None) -> int:
+    """Fast mod-mod gcd value; only the tiny pairs below the certificate form the power."""
+    return natural_or_underflow(modmod_signed_value(a, b, c, max_exponent), a, b, c)
 
 
 def modmod_direct_signed(a: int, b: int, c: int, max_exponent: Optional[int] = None) -> int:
@@ -254,6 +258,18 @@ class BenchRecord:
         }
 
 
+def _timed(
+    route: Callable[[int, int, int], int], a: int, b: int, c: int, repetitions: int
+) -> tuple[int, int]:
+    """route(a, b, c) run repetitions times: its value and median time in ns."""
+    times = []
+    for _ in range(repetitions):
+        start = time.perf_counter_ns()
+        value = route(a, b, c)
+        times.append(time.perf_counter_ns() - start)
+    return value, int(statistics.median(times))
+
+
 def bench_compare(a: int, b: int, c: int, repetitions: int) -> BenchRecord:
     """Median wall-clock comparison of the two formula paths on one pair.
 
@@ -263,25 +279,6 @@ def bench_compare(a: int, b: int, c: int, repetitions: int) -> BenchRecord:
     if repetitions < 1:
         raise InvalidInput("repetitions must be at least 1")
     bits = power_bit_length(c, _formula_exponent(a, b, c))
-
-    divmod_value = modmod_value = 0
-    divmod_times = []
-    for _ in range(repetitions):
-        start = time.perf_counter_ns()
-        divmod_value = divmod_direct_value(a, b, c)
-        divmod_times.append(time.perf_counter_ns() - start)
-    modmod_times = []
-    for _ in range(repetitions):
-        start = time.perf_counter_ns()
-        modmod_value = modmod_signed_value(a, b, c)
-        modmod_times.append(time.perf_counter_ns() - start)
-
-    return BenchRecord(
-        a=a,
-        b=b,
-        c=c,
-        bits_a=bits,
-        divmod_ns=int(statistics.median(divmod_times)),
-        modmod_ns=int(statistics.median(modmod_times)),
-        values_equal=divmod_value == modmod_value,
-    )
+    divmod_value, divmod_ns = _timed(divmod_direct_value, a, b, c, repetitions)
+    modmod_value, modmod_ns = _timed(modmod_signed_value, a, b, c, repetitions)
+    return BenchRecord(a, b, c, bits, divmod_ns, modmod_ns, divmod_value == modmod_value)

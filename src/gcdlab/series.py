@@ -30,10 +30,10 @@ class Polynomial:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        coeffs = tuple(int(v) for v in self.coeffs)
+        coeffs = [int(v) for v in self.coeffs]
         while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+            coeffs.pop()
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @property
     def degree(self) -> int:

@@ -123,19 +123,15 @@ class Mod(_Binary):
 Term = Union[Const, Var, Add, Monus, Mul, FloorDiv, Pow, Mod]
 
 _LEFT_FIRST = frozenset((Add, Monus, Mul, FloorDiv, Mod))
-# Markers on the fold's work stack, above the node they belong to.
-_JOIN = object()  # both children folded: combine them, left then right
-_JOIN_POW = object()  # a Pow's exponent, then its base, folded: combine them
-_CHECK = object()  # a Pow's exponent folded, its base not yet visited
+_JOIN = object()  # fold's marker above a node: both children folded, combine them
+_CHECK = object()  # evaluate's marker: a Pow's exponent evaluated, its base not yet
 
 
-def fold(term: Term, leaf: Callable, node: Callable, exponent: Callable = lambda value: None) -> Any:
+def fold(term: Term, leaf: Callable, node: Callable) -> Any:
     """Fold a term bottom-up with an explicit stack, so depth is unbounded.
 
     leaf(t) gives the value of a Const or Var, node(t, left, right) the value
-    of a binary node from the values of its children.  Children fold left
-    before right, except that a Pow folds its exponent first; exponent(value)
-    sees that value before the base is visited and may raise to stop the fold.
+    of a binary node from the values of its children, folded left first.
     """
     values: list = []
     stack: list = [term]
@@ -148,15 +144,8 @@ def fold(term: Term, leaf: Callable, node: Callable, exponent: Callable = lambda
             values[-1] = node(pop(), values[-1], right)
         elif kind is Const or kind is Var:
             push(leaf(t))
-        elif kind in _LEFT_FIRST:
+        elif kind in _LEFT_FIRST or kind is Pow:
             stack += (t, _JOIN, t.right, t.left)
-        elif kind is Pow:
-            stack += (t, _JOIN_POW, t.left, _CHECK, t.right)
-        elif t is _JOIN_POW:
-            base = values.pop()
-            values[-1] = node(pop(), base, values[-1])
-        elif t is _CHECK:
-            exponent(values[-1])
         else:
             raise TypeError(f"not a term: {t!r}")
     return values[0]
@@ -191,8 +180,8 @@ def evaluate(term: Term, env: Optional[Env] = None, max_exponent: Optional[int] 
 
     max_exponent, when given, bounds the value any exponent may take: a larger
     one raises ExponentGuardExceeded instead of attempting a gigantic power.
-    Children are evaluated in fold's order, so the first error fold would
-    meet is the one raised.
+    Children are evaluated left first, except that a Pow evaluates its
+    exponent first, so the guard refuses it before its base is visited.
     """
     bindings: Env = env if env is not None else {}
     values: list[int] = []

@@ -155,6 +155,31 @@ def test_exponent_guard_refuses_both_variants(capsys, variant, argv, exponent):
     assert err == f"error: exponent {exponent} exceeds the guard limit 16\n"
 
 
+# fast mode reads div-mod and mod-mod unguarded; only a div-mod mismatch is
+# re-read, through the guarded term, and mazzanti's fast mode is its term
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (("--variant", "divmod", "--max", "3", "--max-exponent-bits", "4"), None),
+        (("--variant", "modmod", "--max", "3", "--max-exponent-bits", "4"), None),
+        (("--variant", "mazzanti", "--mode", "fast", "--max", "3", "--max-exponent-bits", "4"), (24, 16)),
+        (("--variant", "divmod", "--base", "2", "--max", "1", "--max-exponent-bits", "1"), (3, 2)),
+        (("--variant", "modmod", "--base", "2", "--max", "1", "--max-exponent-bits", "1"), None),
+        (("--variant", "modmod", "--base", "2", "--max", "1", "--max-exponent-bits", "1", "--mode", "term"),
+         (3, 2)),
+    ],
+    ids=["divmod-fast", "modmod-fast", "mazzanti-fast", "divmod-reread", "modmod-fast-1-1", "modmod-term-1-1"],
+)
+def test_verify_guard_in_each_mode(capsys, argv, refused):
+    code, out, err = run(capsys, "verify", *argv)
+    if refused is None:
+        assert code == EXIT_OK
+        assert out.startswith("variant=")
+    else:
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.endswith(f"error: exponent {refused[0]} exceeds the guard limit {refused[1]}\n")
+
+
 def test_negative_guard_bits_is_an_input_error(capsys):
     code, out, err = run(capsys, "eval", "1", "--max-exponent-bits", "-1")
     assert (code, out) == (EXIT_ERROR, "")

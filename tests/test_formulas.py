@@ -15,12 +15,13 @@ from gcdlab.formulas import (
     divmod_gcd_term,
     euclid_gcd,
     formula_term,
+    formula_value,
     gcd_formula,
     gcd_via_formula,
     mazzanti_gcd_term,
     modmod_gcd_value,
 )
-from gcdlab.modular import modmod_signed_value
+from gcdlab.modular import modmod_direct_signed, modmod_signed_value
 from gcdlab.parser import parse_term
 from gcdlab.series import extract_coefficient, f_ab
 from gcdlab.terms import contains_mod, desugar_mod, evaluate, free_variables, substitute
@@ -226,6 +227,24 @@ def test_exponent_guard_propagates():
     with pytest.raises(ExponentGuardExceeded):
         gcd_via_formula(f, 3, 3, max_exponent=100)
     assert gcd_via_formula(f, 3, 3, max_exponent=2**26) == 3
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_formula_value_dispatches_each_route(variant):
+    for base in range(2, 7):
+        f = gcd_formula(variant, base)  # mazzanti's base is pinned to 2
+        for a in range(1, 7):
+            for b in range(1, 7):
+                exact = formula_value(f, a, b)
+                fast = formula_value(f, a, b, fast=True)
+                if variant is Variant.MODMOD:
+                    assert exact == modmod_direct_signed(a, b, base)
+                else:
+                    assert exact == evaluate(substitute(formula_term(f), {"a": a, "b": b}))
+                if variant is Variant.MAZZANTI:
+                    assert fast == exact
+                else:
+                    assert fast == modmod_signed_value(a, b, base)
 
 
 def test_describe_round_trips_for_term_variants():

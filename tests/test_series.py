@@ -29,6 +29,7 @@ from gcdlab.series import (
 def test_polynomial_normalization():
     assert Polynomial((1, 2, 0, 0)).coeffs == (1, 2)
     assert Polynomial((0, 0)).coeffs == ()
+    assert Polynomial((1,) + (0,) * 200_000).coeffs == (1,)
     assert Polynomial((0, 0)).degree == -1
     assert Polynomial((1, -2, 1)).degree == 2
     assert Polynomial().is_zero

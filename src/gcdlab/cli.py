@@ -134,14 +134,21 @@ def _exponent_limit(args: argparse.Namespace) -> int:
     return 1 << args.max_exponent_bits
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InvalidInput(f"cannot write {path}: {e}") from e
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     term = parse_term(args.expr)
     env = {}
     for binding in args.bind or []:
         name, sep, value = binding.partition("=")
         if not sep or not match_identifier(name) or not match_natural(value):
-            print(f"bad binding {binding!r}, expected NAME=NATURAL", file=sys.stderr)
-            return EXIT_ERROR
+            raise InvalidInput(f"bad binding {binding!r}, expected NAME=NATURAL")
         env[name] = int(value)
     print(to_str(evaluate(term, env, max_exponent=_exponent_limit(args))))
     return EXIT_OK
@@ -184,12 +191,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     payload = json.dumps(report.json_dict())
     print(payload)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        except OSError as e:
-            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-            return EXIT_ERROR
+        _write_out(args.out, payload + "\n")
     return report_exit_code(report)
 
 
@@ -214,29 +216,18 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     pairs: list[tuple[int, int]] = []
     for text in args.pair or []:
-        left, sep, right = text.partition(",")
-        try:
-            pair = (int(left), int(right))
-        except ValueError:
-            pair = (0, 0)
-        if not sep or pair[0] < 1 or pair[1] < 1:
-            print(f"bad pair {text!r}, expected A,B with naturals >= 1", file=sys.stderr)
-            return EXIT_ERROR
+        left, _, right = text.partition(",")
+        pair = (int(left), int(right)) if match_natural(left) and match_natural(right) else (0, 0)
+        if min(pair) < 1:
+            raise InvalidInput(f"bad pair {text!r}, expected A,B with naturals >= 1")
         pairs.append(pair)
     # strictly sequential, one pair at a time
     records = [bench_compare(a, b, args.base, args.reps) for a, b in pairs]
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            if args.json:
-                json.dump([r.json_dict() for r in records], fh, indent=2)
-                fh.write("\n")
-            else:
-                fh.write(BENCH_CSV_HEADER + "\n")
-                for r in records:
-                    fh.write(r.csv_row() + "\n")
-    except OSError as e:
-        print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-        return EXIT_ERROR
+    if args.json:
+        content = json.dumps([r.json_dict() for r in records], indent=2) + "\n"
+    else:
+        content = "\n".join([BENCH_CSV_HEADER, *(r.csv_row() for r in records)]) + "\n"
+    _write_out(args.out, content)
     if records:
         print(f"{'a':>6} {'b':>6} {'bits_A':>10} {'divmod_ms':>11} {'modmod_ms':>11} {'speedup':>8} equal")
         for r in records:

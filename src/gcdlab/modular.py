@@ -13,10 +13,11 @@ built-in pow stay as the references the tests check the route against.
 
 from __future__ import annotations
 
+import json
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from decimal import Context, Decimal, localcontext
 from typing import Callable, NamedTuple, Optional
 
@@ -229,6 +230,7 @@ def power_bit_length(c: int, e: int) -> int:
     return (c**e).bit_length()
 
 
+# One column per BenchRecord field, in field order.
 BENCH_CSV_HEADER = "a,b,c,bits_A,divmod_ns,modmod_ns,equal"
 
 
@@ -243,19 +245,10 @@ class BenchRecord:
     values_equal: bool
 
     def csv_row(self) -> str:
-        flag = "true" if self.values_equal else "false"
-        return f"{self.a},{self.b},{self.c},{self.bits_a},{self.divmod_ns},{self.modmod_ns},{flag}"
+        return ",".join(json.dumps(value) for value in astuple(self))
 
     def json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "bits_A": self.bits_a,
-            "divmod_ns": self.divmod_ns,
-            "modmod_ns": self.modmod_ns,
-            "equal": self.values_equal,
-        }
+        return dict(zip(BENCH_CSV_HEADER.split(","), astuple(self)))
 
 
 def _timed(

@@ -24,8 +24,8 @@ from .errors import (
 Env = Mapping[str, int]
 
 # The one spelling of a variable name and of a natural literal, shared by the
-# AST, the parser's tokenizer and the CLI's --bind values.  ASCII only:
-# str.isidentifier and str.isdigit accept Unicode that int() and the
+# AST, the parser's tokenizer and the CLI's --bind and --pair values.  ASCII
+# only: str.isidentifier and str.isdigit accept Unicode that int() and the
 # tokenizer reject.
 IDENTIFIER = "[A-Za-z_][A-Za-z0-9_]*"
 NATURAL = "[0-9]+"

@@ -53,8 +53,7 @@ def test_eval_unbound_variable(capsys):
 
 def test_eval_bad_binding(capsys):
     code, _, err = run(capsys, "eval", "x", "--bind", "x=-3")
-    assert code == EXIT_ERROR
-    assert "bad binding" in err
+    assert (code, err) == (EXIT_ERROR, "error: bad binding 'x=-3', expected NAME=NATURAL\n")
 
 
 @pytest.mark.parametrize("binding", ["a=٣", "π=3", "a=1\n", "a\n=1", "a="])
@@ -266,6 +265,16 @@ def test_verify_writes_report_file(tmp_path, capsys):
     assert json.loads(path.read_text()) == json.loads(out)
 
 
+def test_verify_unwritable_out_is_an_io_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run(
+        capsys, "verify", "--variant", "divmod", "--max", "3", "--json", "--out", str(path)
+    )
+    assert code == EXIT_ERROR
+    assert err == f"error: cannot write {path}: [Errno 2] No such file or directory: '{path}'\n"
+    assert json.loads(out)["range_max"] == 3
+
+
 def test_report_exit_code_flags_undocumented_mismatch():
     # a descriptor that wrongly claims base 2 has no exceptions
     forged = GcdFormula(Variant.DIVMOD, 2, frozenset())
@@ -359,9 +368,13 @@ def test_bench_disagreement_exits_3(tmp_path, capsys):
 
 
 def test_bench_rejects_bad_pair(tmp_path, capsys):
-    code, _, err = run(capsys, "bench", "--pair", "4x6", "--out", str(tmp_path / "x.csv"))
-    assert code == EXIT_ERROR
-    assert "bad pair" in err
+    # besides a missing comma: a Unicode digit, a sign, a space and an
+    # underscore, which int() reads but the ASCII natural rule does not
+    for pair in ["4x6", "٣,٣", "+3,3", " 3,3", "3_0,3"]:
+        code, out, err = run(capsys, "bench", "--pair", pair, "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (EXIT_ERROR, ""), pair
+        assert err == f"error: bad pair {pair!r}, expected A,B with naturals >= 1\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_bench_unwritable_path_is_an_io_error(capsys):

@@ -1,18 +1,21 @@
 """Seeded fuzz of the command line: random argv over all five subcommands,
 with bad, negative, empty and Unicode values and unknown flags, must end in
-a documented exit code and never let an exception escape.
+a documented exit code and never let an exception escape; exits 1 and 2
+end in an error line on stderr.
 
 Sizes stay small (grids and pairs up to 8, --n up to 40, exponent guards up
 to 2^6, term texts up to 12 characters) so the whole run takes seconds.
 """
 
 import random
+import re
 
 from gcdlab.cli import main
 
 BAD = ["", "x", "-", "1.5", "²", "π", "--", "٣"]  # int() reads "٣" as 3
 OPERANDS = ["0", "1", "2", "7", "12", "a", "b", "(1)", "²", "٣", "π"]
 OPERATORS = ["+", "-", "*", "/", "%", "^", "^", "(", ")", " "]
+ERROR_LINE = re.compile(r"(error|syntax error|gcdlab( \w+)?: error): ")
 
 
 def _number(rng, low, high):
@@ -119,3 +122,5 @@ def test_random_argv_ends_in_a_documented_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code in (0, 1, 2, 3), argv
         assert "Traceback" not in err, argv
+        if code in (1, 2):  # main's error line, or argparse's usage error
+            assert ERROR_LINE.match(err.splitlines()[-1]), (argv, err)

@@ -93,19 +93,17 @@ def run_verification(
 ) -> VerificationReport:
     """Check the variant against Euclid on the grid 1..range_max squared.
 
-    term mode evaluates each variant by its own exact definition (term
-    evaluation, or materializing arithmetic for mod-mod).  fast mode reads
-    div-mod and mod-mod off the modular route, unguarded, and re-evaluates a
-    div-mod mismatch by its exact definition, so reported values are always
-    the formula's true output.  mazzanti has no fast path and always
-    evaluates its term.
+    term mode evaluates each variant's term under the guard.  fast mode
+    reads div-mod and mod-mod off the signed modular route, unguarded, and
+    re-evaluates a mismatch through the variant's term under the guard, so
+    reported values are always the term's true output.  mazzanti has no fast
+    path and always evaluates its term.
     """
     if range_max < 1:
         raise InvalidInput("grid bound must be at least 1")
     if mode not in ("term", "fast"):
         raise InvalidInput(f"unknown mode: {mode!r}")
     fast = mode == "fast" and f.variant is not Variant.MAZZANTI
-    reread = fast and f.variant is Variant.DIVMOD
     guard = None if fast else max_exponent
     mismatches: list[Mismatch] = []
     start = time.perf_counter()
@@ -113,7 +111,7 @@ def run_verification(
         for b in range(1, range_max + 1):
             expected = euclid_gcd(a, b)
             got = formula_value(f, a, b, fast, guard)
-            if reread and got != expected:
+            if fast and got != expected:
                 got = formula_value(f, a, b, max_exponent=max_exponent)
             if got != expected:
                 mismatches.append(Mismatch(a, b, got, expected))

@@ -1,6 +1,6 @@
-"""The gcd formula catalog: term builders for the floor-division variants,
-the value-level mod-mod variant, a Euclid oracle, and per-variant validity
-metadata recording which input pairs each variant is known to get wrong.
+"""The gcd formula catalog: a term builder for each variant, a Euclid oracle,
+and per-variant validity metadata recording which input pairs each variant
+is known to get wrong.
 """
 
 from __future__ import annotations
@@ -61,6 +61,17 @@ def _product(*terms: Term) -> Term:
     return reduce(Mul, terms)
 
 
+def _formula_subterms(c: int) -> tuple[Term, Term, Term]:
+    """c^E with E = a*b*(a*b + a + b), the divisor D and the cap c^(a*b)."""
+    if c < 2:
+        raise BaseTooSmall(f"exponentiation base must be at least 2, got {c}")
+    base = Const(c)
+    e_aab, e_abb = _product(_A, _A, _B), _product(_A, _B, _B)
+    divisor = Mul(Monus(Pow(base, e_aab), Const(1)), Monus(Pow(base, e_abb), Const(1)))
+    power = Pow(base, _product(_A, _B, Add(Add(Mul(_A, _B), _A), _B)))
+    return power, divisor, Pow(base, Mul(_A, _B))
+
+
 def mazzanti_gcd_term() -> Term:
     """Open term in a and b for the base-2 product-quotient gcd identity:
 
@@ -68,19 +79,15 @@ def mazzanti_gcd_term() -> Term:
      / ((2^(a*a*b) - 1) * (2^(a*b*b) - 1) * 2^(a*a*b*b))) % 2^(a*b)
     """
     two = Const(2)
+    _, divisor, cap = _formula_subterms(2)
     e_aab_b1 = _product(_A, _A, _B, Add(_B, Const(1)))
     e_aab = _product(_A, _A, _B)
     e_aabb = _product(_A, _A, _B, _B)
-    e_abb = _product(_A, _B, _B)
     numerator = Mul(
         Monus(Pow(two, e_aab_b1), Pow(two, e_aab)),
         Monus(Pow(two, e_aabb), Const(1)),
     )
-    denominator = Mul(
-        Mul(Monus(Pow(two, e_aab), Const(1)), Monus(Pow(two, e_abb), Const(1))),
-        Pow(two, e_aabb),
-    )
-    return Mod(FloorDiv(numerator, denominator), Pow(two, Mul(_A, _B)))
+    return Mod(FloorDiv(numerator, Mul(divisor, Pow(two, e_aabb))), cap)
 
 
 def divmod_gcd_term(c: int) -> Term:
@@ -88,26 +95,24 @@ def divmod_gcd_term(c: int) -> Term:
 
     (c^(a*b*(a*b + a + b)) / ((c^(a*a*b) - 1) * (c^(a*b*b) - 1)) % c^(a*b)) - 1
     """
-    if c < 2:
-        raise BaseTooSmall(f"exponentiation base must be at least 2, got {c}")
-    base = Const(c)
-    e_top = _product(_A, _B, Add(Add(Mul(_A, _B), _A), _B))
-    e_aab = _product(_A, _A, _B)
-    e_abb = _product(_A, _B, _B)
-    quotient = FloorDiv(
-        Pow(base, e_top),
-        Mul(Monus(Pow(base, e_aab), Const(1)), Monus(Pow(base, e_abb), Const(1))),
-    )
-    return Monus(Mod(quotient, Pow(base, Mul(_A, _B))), Const(1))
+    power, divisor, cap = _formula_subterms(c)
+    return Monus(Mod(FloorDiv(power, divisor), cap), Const(1))
+
+
+def modmod_gcd_term(c: int) -> Term:
+    """Open term in a and b, the mod-mod value clamped at 0, with c^E and D as
+    in the div-mod term: ((D - c^E % D) % c^(a*b)) - 2"""
+    power, divisor, cap = _formula_subterms(c)
+    return Monus(Mod(Monus(divisor, Mod(power, divisor)), cap), Const(2))
 
 
 def formula_term(f: GcdFormula) -> Term:
-    """The open term for a term-representable variant."""
+    """The variant's open term in a and b."""
     if f.variant is Variant.MAZZANTI:
         return mazzanti_gcd_term()
     if f.variant is Variant.DIVMOD:
         return divmod_gcd_term(f.base)
-    raise InvalidInput("the mod-mod variant has no term form: it negates a power")
+    return modmod_gcd_term(f.base)
 
 
 def euclid_gcd(a: int, b: int) -> int:
@@ -127,15 +132,12 @@ def formula_value(
 ) -> int:
     """The variant's value at (a, b): the one place that picks the route.
 
-    The exact route evaluates the term with a and b bound, or materializes
-    the power for mod-mod. fast takes the small-integer mod-mod route for
-    div-mod and mod-mod; mazzanti has none and evaluates its term. Both
-    routes refuse an exponent above max_exponent, when given.
+    The exact route evaluates the term with a and b bound. fast takes the
+    signed small-integer mod-mod route for div-mod and mod-mod; mazzanti has
+    none and evaluates its term. Both refuse exponents above max_exponent.
     """
     if fast and f.variant is not Variant.MAZZANTI:
         return modular.modmod_signed_value(a, b, f.base, max_exponent)
-    if f.variant is Variant.MODMOD:
-        return modular.modmod_direct_signed(a, b, f.base, max_exponent)
     return evaluate(formula_term(f), {"a": a, "b": b}, max_exponent)
 
 
@@ -144,7 +146,7 @@ def gcd_via_formula(f: GcdFormula, a: int, b: int, max_exponent: Optional[int] =
 
     Mod-mod takes its fast route, which is exact. No correctness promise
     when (a, b) is in f.exceptions; the mod-mod variant raises Underflow
-    there, the term variants return a wrong value.
+    there, where its signed value is negative; the others return a wrong value.
     """
     if a < 1 or b < 1:
         raise InvalidInput("gcd arguments must be at least 1")
@@ -153,13 +155,5 @@ def gcd_via_formula(f: GcdFormula, a: int, b: int, max_exponent: Optional[int] =
 
 
 def describe(f: GcdFormula) -> str:
-    """Printable formula text: parser grammar for the term variants, an
-    annotated two-stage recipe for mod-mod (flagged as not being a term)."""
-    if f.variant is Variant.MODMOD:
-        c = f.base
-        return (
-            f"modmod base {c} [not an arithmetic term: stage 1 negates a power]\n"
-            f"  stage 1: r = (-({c}^(a*b*(a*b + a + b)))) mod (({c}^(a*a*b) - 1)*({c}^(a*b*b) - 1))\n"
-            f"  stage 2: (r mod {c}^(a*b)) - 2"
-        )
+    """The variant's term as parseable text."""
     return pretty_print(formula_term(f))

@@ -138,9 +138,9 @@ def _formula_exponent(a: int, b: int, c: int, max_exponent: Optional[int] = None
     return exponent
 
 
-def _formula_parts(a: int, b: int, c: int, max_exponent: Optional[int] = None) -> tuple[int, int, int]:
+def _formula_parts(a: int, b: int, c: int) -> tuple[int, int, int]:
     """E, the divisor product and the cap modulus, for the materializing paths."""
-    exponent = _formula_exponent(a, b, c, max_exponent)
+    exponent = _formula_exponent(a, b, c)
     n = a * b
     return exponent, (c ** (a * n) - 1) * (c ** (b * n) - 1), c**n
 
@@ -196,9 +196,9 @@ def modmod_fast_value(a: int, b: int, c: int, max_exponent: Optional[int] = None
     return natural_or_underflow(modmod_signed_value(a, b, c, max_exponent), a, b, c)
 
 
-def modmod_direct_signed(a: int, b: int, c: int, max_exponent: Optional[int] = None) -> int:
+def modmod_direct_signed(a: int, b: int, c: int) -> int:
     """Same value as modmod_signed_value, but materializing the full power."""
-    exponent, divisor, cap = _formula_parts(a, b, c, max_exponent)
+    exponent, divisor, cap = _formula_parts(a, b, c)
     return mod(mod_euclidean(-(c**exponent), divisor), cap) - 2
 
 

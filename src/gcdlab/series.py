@@ -11,6 +11,7 @@ s(n) < c^(n-2).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 from .errors import (
@@ -21,6 +22,7 @@ from .errors import (
     NoValidRank,
     ZeroDenominator,
 )
+from .terms import match_integer
 
 
 @dataclass(frozen=True)
@@ -57,12 +59,12 @@ class Polynomial:
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    """Parse comma-separated coefficients, lowest degree first: '1,-2,1'."""
-    try:
-        coeffs = tuple(int(part.strip()) for part in text.split(","))
-    except ValueError:
-        raise InvalidInput(f"bad polynomial text: {text!r}") from None
-    return Polynomial(coeffs)
+    """Parse comma-separated integers, lowest degree first: '1,-2,1'."""
+    parts = [part.strip() for part in text.split(",")]
+    if all(map(match_integer, parts)):
+        with contextlib.suppress(ValueError):  # past the interpreter's int() digit limit
+            return Polynomial(tuple(map(int, parts)))
+    raise InvalidInput(f"bad polynomial text: {text!r}")
 
 
 def polynomial_text(p: Polynomial) -> str:
@@ -137,9 +139,9 @@ def _eval_at_inverse(p: Polynomial, w: int, degree: int) -> int:
 def extract_coefficient(f: RationalFunction, c: int, n: int) -> int:
     """Recover s(n) as floor(c^(n^2) * f(c^-n)) mod c^n, in exact integers.
 
-    Clearing denominators with w = c^n and D = deg B turns f(1/w) into a
-    ratio of integers, and Python's floor division rounds toward minus
-    infinity, which is exactly the real floor even when signs differ.
+    Clearing denominators with w = c^n and D = deg B turns f(1/w) into A/B.
+    Floor division gives (X // B) % w = (X % (B*w)) // B for either sign of
+    B, so X = c^(n^2) * A is only ever formed modulo B*w.
     """
     if n < 1:
         raise InvalidInput("coefficient index must be at least 1")
@@ -150,8 +152,8 @@ def extract_coefficient(f: RationalFunction, c: int, n: int) -> int:
     b_hat = _eval_at_inverse(f.denominator, w, depth)
     if b_hat == 0:
         raise ZeroDenominator(f"{c}^-{n} is a pole of the denominator")
-    a_hat = _eval_at_inverse(f.numerator, w, depth)
-    return (c ** (n * n) * a_hat) // b_hat % w
+    modulus = b_hat * w
+    return pow(c, n * n, modulus) * _eval_at_inverse(f.numerator, w, depth) % modulus // b_hat
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,14 @@ from .errors import (
 Env = Mapping[str, int]
 
 # The one spelling of a variable name and of a natural literal, shared by the
-# AST, the parser's tokenizer and the CLI's --bind and --pair values.  ASCII
-# only: str.isidentifier and str.isdigit accept Unicode that int() and the
-# tokenizer reject.
+# AST, the parser's tokenizer and the CLI's --bind and --pair values (signed,
+# for polynomial coefficients).  ASCII only: str.isidentifier and str.isdigit
+# accept Unicode that int() and the tokenizer reject, and int() takes "+3".
 IDENTIFIER = "[A-Za-z_][A-Za-z0-9_]*"
 NATURAL = "[0-9]+"
 match_identifier = re.compile(IDENTIFIER).fullmatch
 match_natural = re.compile(NATURAL).fullmatch
+match_integer = re.compile(f"-?{NATURAL}").fullmatch
 
 
 @dataclass(frozen=True)

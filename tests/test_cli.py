@@ -140,22 +140,28 @@ def test_gcd_rejects_zero(capsys):
     assert err == "error: gcd arguments must be at least 1\n"
 
 
-# mod-mod never forms c^E, but it refuses the same exponent E = ab(ab+a+b)
-# that the div-mod term refuses, before building any power
+# gcd's mod-mod route never forms c^E, but it refuses the same exponent
+# E = ab(ab+a+b) that the div-mod term refuses, before building any power.
+# The mod-mod term evaluates D before c^E, and still refuses E first: D's
+# exponents a*a*b and a*b*b never pass a power-of-two guard before some E does.
 @pytest.mark.parametrize("variant", ["divmod", "modmod"])
 @pytest.mark.parametrize(
-    "argv, exponent",
-    [(("gcd", "30", "30"), 864000), (("verify", "--mode", "term", "--max", "3"), 21)],
+    "argv, refusals",
+    [
+        (("gcd", "30", "30"), {4: 864000}),
+        (("verify", "--mode", "term", "--max", "3"), {0: 3, 2: 10, 4: 21, 5: 66, 7: 135}),
+    ],
     ids=["gcd", "verify-term"],
 )
-def test_exponent_guard_refuses_both_variants(capsys, variant, argv, exponent):
-    code, out, err = run(capsys, *argv, "--variant", variant, "--max-exponent-bits", "4")
-    assert (code, out) == (EXIT_ERROR, "")
-    assert err == f"error: exponent {exponent} exceeds the guard limit 16\n"
+def test_exponent_guard_refuses_both_variants(capsys, variant, argv, refusals):
+    for bits, exponent in refusals.items():
+        code, out, err = run(capsys, *argv, "--variant", variant, "--max-exponent-bits", str(bits))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"error: exponent {exponent} exceeds the guard limit {1 << bits}\n"
 
 
-# fast mode reads div-mod and mod-mod unguarded; only a div-mod mismatch is
-# re-read, through the guarded term, and mazzanti's fast mode is its term
+# fast mode reads div-mod and mod-mod unguarded; a mismatch is re-read
+# through the variant's guarded term, and mazzanti's fast mode is its term
 @pytest.mark.parametrize(
     "argv, refused",
     [
@@ -163,7 +169,7 @@ def test_exponent_guard_refuses_both_variants(capsys, variant, argv, exponent):
         (("--variant", "modmod", "--max", "3", "--max-exponent-bits", "4"), None),
         (("--variant", "mazzanti", "--mode", "fast", "--max", "3", "--max-exponent-bits", "4"), (24, 16)),
         (("--variant", "divmod", "--base", "2", "--max", "1", "--max-exponent-bits", "1"), (3, 2)),
-        (("--variant", "modmod", "--base", "2", "--max", "1", "--max-exponent-bits", "1"), None),
+        (("--variant", "modmod", "--base", "2", "--max", "1", "--max-exponent-bits", "1"), (3, 2)),
         (("--variant", "modmod", "--base", "2", "--max", "1", "--max-exponent-bits", "1", "--mode", "term"),
          (3, 2)),
     ],
@@ -210,6 +216,9 @@ def test_verify_small_bases_match_documented_exceptions(capsys):
 
 
 def test_verify_term_and_fast_modes_agree(capsys):
+    # the fast route's signed value -1 at (1,1) is re-read through the term,
+    # which clamps it at 0
+    reports = []
     for mode in ("term", "fast"):
         code, out, _ = run(
             capsys,
@@ -217,8 +226,8 @@ def test_verify_term_and_fast_modes_agree(capsys):
             "--mode", mode, "--json",
         )
         assert code == EXIT_OK
-        payload = json.loads(out)
-        assert [(m["a"], m["b"], m["got"]) for m in payload["mismatches"]] == [(1, 1, -1)]
+        reports.append(json.loads(out)["mismatches"])
+    assert reports[0] == reports[1] == [{"a": 1, "b": 1, "got": 0, "expected": 1}]
 
 
 def test_verify_fast_mismatch_reports_exact_term_value(capsys):
@@ -328,6 +337,12 @@ def test_extract_takes_a_polynomial_with_a_leading_minus(capsys):
     assert run(capsys, "extract", "--n", "3", "--", "-1", "-1,1") == (EXIT_OK, expected, "")
     code, out, err = run(capsys, "extract", "1", "-1,1", "--n", "3")
     assert (code, out, err) == (EXIT_ERROR, "", "error: series coefficient s(0) = -1 is negative\n")
+
+
+@pytest.mark.parametrize("den", ["٣,-1", "+3,-1", "3_0,-1"])
+def test_extract_coefficients_are_ascii_integers(capsys, den):
+    code, out, err = run(capsys, "extract", "1", den, "--n", "3")
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: bad polynomial text: {den!r}\n")
 
 
 def test_bench_writes_csv(tmp_path, capsys):

@@ -19,6 +19,7 @@ from gcdlab.formulas import (
     gcd_formula,
     gcd_via_formula,
     mazzanti_gcd_term,
+    modmod_gcd_term,
     modmod_gcd_value,
 )
 from gcdlab.modular import modmod_direct_signed, modmod_signed_value
@@ -104,6 +105,8 @@ def test_exception_sets_are_proved():
             right = (a, b) != (1, 1)
             assert (gcd_via_formula(divmod_formula, a, b) == euclid_gcd(a, b)) is right
             assert (modmod_signed_value(a, b, c) == euclid_gcd(a, b)) is right
+            term_value = evaluate(modmod_gcd_term(c), {"a": a, "b": b})
+            assert (term_value == euclid_gcd(a, b)) is right
     for c in range(5, 17):
         for variant in (Variant.DIVMOD, Variant.MODMOD):
             assert gcd_formula(variant, c).exceptions == frozenset()
@@ -132,11 +135,21 @@ def test_catalog_accepts_variant_names():
 def test_terms_are_open_in_a_and_b():
     assert free_variables(mazzanti_gcd_term()) == {"a", "b"}
     assert free_variables(divmod_gcd_term(5)) == {"a", "b"}
+    assert free_variables(modmod_gcd_term(5)) == {"a", "b"}
+    assert formula_term(gcd_formula(Variant.MODMOD, 5)) == modmod_gcd_term(5)
+    with pytest.raises(BaseTooSmall):
+        modmod_gcd_term(1)
 
 
-def test_modmod_has_no_term_form():
-    with pytest.raises(InvalidInput):
-        formula_term(gcd_formula(Variant.MODMOD, 5))
+def test_modmod_term_is_the_signed_value_clamped_at_zero():
+    """(-c^E) mod D = D - (c^E mod D) when D > 1, since D is prime to c, and
+    D = 1 only at c = 2, a = b = 1, where both sides clamp to 0."""
+    for c in range(2, 9):
+        term = modmod_gcd_term(c)
+        for a in range(1, 9):
+            for b in range(1, 9):
+                want = max(modmod_direct_signed(a, b, c), 0)
+                assert evaluate(term, {"a": a, "b": b}) == want, (a, b, c)
 
 
 def test_divmod_base5_frozen_values():
@@ -237,10 +250,7 @@ def test_formula_value_dispatches_each_route(variant):
             for b in range(1, 7):
                 exact = formula_value(f, a, b)
                 fast = formula_value(f, a, b, fast=True)
-                if variant is Variant.MODMOD:
-                    assert exact == modmod_direct_signed(a, b, base)
-                else:
-                    assert exact == evaluate(substitute(formula_term(f), {"a": a, "b": b}))
+                assert exact == evaluate(substitute(formula_term(f), {"a": a, "b": b}))
                 if variant is Variant.MAZZANTI:
                     assert fast == exact
                 else:
@@ -248,19 +258,19 @@ def test_formula_value_dispatches_each_route(variant):
 
 
 def test_describe_round_trips_for_term_variants():
-    for f in (gcd_formula(Variant.MAZZANTI), gcd_formula(Variant.DIVMOD, 5)):
-        assert parse_term(describe(f)) == formula_term(f)
-
-
-def test_describe_modmod_flags_non_term():
-    text = describe(gcd_formula(Variant.MODMOD, 5))
-    assert "not an arithmetic term" in text
-    assert "stage 1" in text and "stage 2" in text
+    for variant in Variant:
+        for base in (2, 5):
+            f = gcd_formula(variant, base)
+            assert parse_term(describe(f)) == formula_term(f)
+    assert describe(gcd_formula(Variant.MODMOD, 5)) == (
+        "((5^(a*a*b) - 1)*(5^(a*b*b) - 1) - 5^(a*b*(a*b + a + b))%((5^(a*a*b) - 1)*(5^(a*b*b) - 1)))"
+        "%5^(a*b) - 2"
+    )
 
 
 def test_formula_terms_desugar_cleanly():
     env = {"a": 4, "b": 6}
-    for term in (mazzanti_gcd_term(), divmod_gcd_term(5)):
+    for term in (mazzanti_gcd_term(), divmod_gcd_term(5), modmod_gcd_term(5)):
         desugared = desugar_mod(term)
         assert not contains_mod(desugared)
         assert evaluate(substitute(desugared, env)) == evaluate(substitute(term, env))

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -49,10 +51,21 @@ def test_polynomial_text_round_trip():
 
 
 def test_parse_polynomial_rejects_garbage():
-    with pytest.raises(InvalidInput):
-        parse_polynomial("1,x,3")
-    with pytest.raises(InvalidInput):
-        parse_polynomial("")
+    for text in ("1,x,3", "", "٣", "+3", "3_0", "1,,2", "- 1", "0x1"):
+        with pytest.raises(InvalidInput):
+            parse_polynomial(text)
+    assert parse_polynomial("-0,007") == Polynomial((0, 7))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_parse_polynomial_past_the_digit_limit_is_bad_text():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(InvalidInput):
+            parse_polynomial("1," + "7" * 5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_denominators_of_the_gcd_family():
@@ -147,6 +160,31 @@ def test_extract_matches_oracle_from_the_rank_on():
             f = f_ab(a, b)
             for n in range(3, 21):
                 assert extract_coefficient(f, 5, n) == count_solutions(a, b, n)
+
+
+def _horner_at_inverse(coeffs, w, depth):
+    return sum(coefficient * w ** (depth - j) for j, coefficient in enumerate(coeffs))
+
+
+def test_extract_equals_the_exact_formula_on_signed_functions():
+    """floor(c^(n^2) * A/B) mod c^n with A = w^D A(1/w), B = w^D B(1/w) and
+    w = c^n, the power formed in full, on random numerators and denominators
+    of either sign."""
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 400:
+        head = rng.choice([-3, -2, -1, 1, 2, 3])  # B(0) != 0
+        den = Polynomial((head, *(rng.randint(-4, 4) for _ in range(4))))
+        num = Polynomial(tuple(rng.randint(-4, 4) for _ in range(den.degree + 1)))
+        c, n = rng.randint(2, 7), rng.randint(1, 12)
+        w = c**n
+        b_hat = _horner_at_inverse(den.coeffs, w, den.degree)
+        a_hat = _horner_at_inverse(num.coeffs, w, den.degree)
+        if b_hat == 0:
+            continue
+        f = RationalFunction(num, den)
+        assert extract_coefficient(f, c, n) == math.floor(Fraction(c ** (n * n) * a_hat, b_hat)) % w
+        checked += 1
 
 
 def test_extract_below_rank_is_defined_but_unpromised():

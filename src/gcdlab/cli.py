@@ -39,7 +39,7 @@ from .series import (
     extract_coefficient,
     parse_polynomial,
 )
-from .terms import evaluate, match_identifier, match_natural, substitute
+from .terms import evaluate, match_identifier, match_integer, match_natural, substitute
 
 EXIT_OK = 0
 EXIT_SYNTAX = 1
@@ -77,10 +77,7 @@ class VerificationReport:
             "variant": self.formula.variant.value,
             "base": self.formula.base,
             "range_max": self.range_max,
-            "mismatches": [
-                {"a": m.a, "b": m.b, "got": m.got, "expected": m.expected}
-                for m in self.mismatches
-            ],
+            "mismatches": [m._asdict() for m in self.mismatches],
             "elapsed_ms": self.elapsed_ms,
         }
 
@@ -124,6 +121,13 @@ def report_exit_code(report: VerificationReport) -> int:
     documented = report.documented_mismatches()
     observed = {(m.a, m.b) for m in report.mismatches}
     return EXIT_OK if observed == documented else EXIT_VIOLATION
+
+
+def _integer(text: str) -> int:
+    """argparse type of every integer argument: ASCII -?[0-9]+, as --bind and --pair."""
+    if match_integer(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _exponent_limit(args: argparse.Namespace) -> int:
@@ -246,7 +250,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _add_guard_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-exponent-bits",
-        type=int,
+        type=_integer,
         default=DEFAULT_MAX_EXPONENT_BITS,
         metavar="BITS",
         help="refuse exponents above 2^BITS (default %(default)s)",
@@ -262,7 +266,7 @@ def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--base",
-        type=int,
+        type=_integer,
         default=5,
         help="exponentiation base (default %(default)s; pinned to 2 for mazzanti)",
     )
@@ -287,15 +291,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_gcd = sub.add_parser("gcd", help="compute gcd(a, b) through a formula")
-    p_gcd.add_argument("a", type=int)
-    p_gcd.add_argument("b", type=int)
+    p_gcd.add_argument("a", type=_integer)
+    p_gcd.add_argument("b", type=_integer)
     _add_variant_flags(p_gcd)
     _add_guard_flag(p_gcd)
     p_gcd.set_defaults(handler=_cmd_gcd)
 
     p_verify = sub.add_parser("verify", help="check a formula against Euclid on a grid")
     _add_variant_flags(p_verify)
-    p_verify.add_argument("--max", type=int, default=10, help="grid bound (default %(default)s)")
+    p_verify.add_argument("--max", type=_integer, default=10, help="grid bound (default %(default)s)")
     p_verify.add_argument(
         "--mode",
         choices=["term", "fast"],
@@ -311,12 +315,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_extract._negative_number_matcher = re.compile(r"^-\d")  # "-1,1" is a polynomial, not an option
     p_extract.add_argument("num", help="numerator coefficients, lowest first, e.g. '1'")
     p_extract.add_argument("den", help="denominator coefficients, e.g. '1,-2,1'")
-    p_extract.add_argument("--base", type=int, default=5, help="extraction base (default %(default)s)")
-    p_extract.add_argument("--n", type=int, required=True, help="coefficient index")
+    p_extract.add_argument("--base", type=_integer, default=5, help="extraction base (default %(default)s)")
+    p_extract.add_argument("--n", type=_integer, required=True, help="coefficient index")
     p_extract.add_argument(
         "--check-to",
         dest="check_to",
-        type=int,
+        type=_integer,
         default=50,
         help="verify the growth condition up to this index (default %(default)s)",
     )
@@ -324,8 +328,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time div-mod against mod-mod")
     p_bench.add_argument("--pair", action="append", metavar="A,B", help="pair to time (repeatable)")
-    p_bench.add_argument("--base", type=int, default=5, help="formula base (default %(default)s)")
-    p_bench.add_argument("--reps", type=int, default=3, help="repetitions per pair (default %(default)s)")
+    p_bench.add_argument("--base", type=_integer, default=5, help="formula base (default %(default)s)")
+    p_bench.add_argument("--reps", type=_integer, default=3, help="repetitions per pair (default %(default)s)")
     p_bench.add_argument("--out", required=True, metavar="PATH", help="CSV (or JSON) output path")
     p_bench.add_argument("--json", action="store_true", help="write JSON instead of CSV")
     p_bench.set_defaults(handler=_cmd_bench)

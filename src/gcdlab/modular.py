@@ -102,27 +102,21 @@ def check_mod_identity(inst: ModIdentityInstance) -> IdentityCheck:
     return IdentityCheck(lhs, rhs, lhs == rhs)
 
 
-FALLBACK_IDENTITY_INSTANCE = ModIdentityInstance(dividend=50, divisor=6, modulus=5)
-
-
 def random_identity_instance(seed: int) -> ModIdentityInstance:
-    """Deterministically derive an instance satisfying every hypothesis.
+    """Deterministically build an instance satisfying every hypothesis.
 
-    Construction makes the divisibility conditions hold by shape; the two
-    remaining hypotheses are rejection-sampled with a bounded retry budget,
-    falling back to a fixed known-good instance.
+    With divisor = modulus*k + 1 and a quotient q not congruent to
+    modulus - 1, the remainder r = (-q) mod modulus, or modulus when that is
+    0, lies in 1..modulus, below divisor. So dividend = q*divisor + r is a
+    positive multiple of modulus that divisor does not divide, and its floor
+    quotient is q.
     """
     rng = random.Random(seed)
-    for _ in range(64):
-        modulus = rng.randint(2, 48)
-        divisor = modulus * rng.randint(1, 64) + 1
-        dividend = modulus * rng.randint(1, 4096)
-        if dividend % divisor == 0:
-            continue
-        if (dividend // divisor) % modulus == modulus - 1:
-            continue
-        return ModIdentityInstance(dividend, divisor, modulus)
-    return FALLBACK_IDENTITY_INSTANCE
+    modulus = rng.randint(2, 48)
+    divisor = modulus * rng.randint(1, 64) + 1
+    quotient = modulus * rng.randrange(64) + rng.randrange(modulus - 1)
+    remainder = -quotient % modulus or modulus
+    return ModIdentityInstance(quotient * divisor + remainder, divisor, modulus)
 
 
 def _formula_exponent(a: int, b: int, c: int, max_exponent: Optional[int] = None) -> int:

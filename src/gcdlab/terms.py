@@ -60,9 +60,10 @@ class _Binary:
     right: "Term"
 
     # Written out, not generated, so that depth is unbounded: equality walks
-    # an explicit stack of node pairs, hashing is a fold, and repr emits its
-    # pieces from an explicit stack.  All three give what the generated ones
-    # do: equality and hashing stay class-exact, repr keeps its text.
+    # an explicit stack of node pairs, hashing is a fold, and repr keeps its
+    # own stack loop, since a fold raises TypeError on a malformed tree such
+    # as Add(Const(1), 2) and repr must not.  Equality and hashing stay
+    # class-exact, and repr keeps the generated text.
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -123,9 +124,12 @@ class Mod(_Binary):
 
 Term = Union[Const, Var, Add, Monus, Mul, FloorDiv, Pow, Mod]
 
-_LEFT_FIRST = frozenset((Add, Monus, Mul, FloorDiv, Mod))
-_JOIN = object()  # fold's marker above a node: both children folded, combine them
-_CHECK = object()  # evaluate's marker: a Pow's exponent evaluated, its base not yet
+# The walks' frames: fold and evaluate push (node, _JOIN, right, left), so the
+# left child is walked first, and at _JOIN the node combines both children's
+# values.  evaluate pushes (node, _JOIN, base, _CHECK, exponent) for a Pow:
+# at _CHECK the exponent is known and its base not yet visited.
+_JOIN = object()
+_CHECK = object()
 
 
 def fold(term: Term, leaf: Callable, node: Callable) -> Any:
@@ -145,35 +149,26 @@ def fold(term: Term, leaf: Callable, node: Callable) -> Any:
             values[-1] = node(pop(), values[-1], right)
         elif kind is Const or kind is Var:
             push(leaf(t))
-        elif kind in _LEFT_FIRST or kind is Pow:
+        elif kind in _OPERATIONS:
             stack += (t, _JOIN, t.right, t.left)
         else:
             raise TypeError(f"not a term: {t!r}")
     return values[0]
 
 
-class _Apply:
-    """evaluate's marker on its work stack, above a node's children: once
-    both are evaluated, fn(left value, right value) is the node's value."""
-
-    __slots__ = ("fn", "by_zero")
-
-    def __init__(self, fn: Callable[[int, int], int], by_zero: Optional[str] = None):
-        self.fn = fn
-        self.by_zero = by_zero  # the error when the right value is 0, if that is one
-
-
-# A private type, so no object a caller puts in a tree can pass for one.  A
-# Pow's exponent is evaluated first, so its right value is the base; 0^0
-# evaluates to 1 by definition, as Python's ** does.
-_APPLY = {
-    Add: _Apply(operator.add),
-    Monus: _Apply(lambda left, right: left - right if left > right else 0),
-    Mul: _Apply(operator.mul),
-    FloorDiv: _Apply(bigint.floordiv, "floor division by zero"),
-    Mod: _Apply(bigint.mod, "remainder by zero"),
-    Pow: _Apply(lambda exponent, base: base**exponent),
+# evaluate's operation per node type, applied at the node's _JOIN to its
+# children's values in the order they were walked.  A Pow's exponent is
+# walked first, so its operation takes (exponent, base); 0^0 evaluates to 1
+# by definition, as Python's ** does.
+_OPERATIONS: dict[type, Callable[[int, int], int]] = {
+    Add: operator.add,
+    Monus: lambda left, right: left - right if left > right else 0,
+    Mul: operator.mul,
+    FloorDiv: bigint.floordiv,
+    Mod: bigint.mod,
+    Pow: lambda exponent, base: base**exponent,
 }
+_BY_ZERO = {FloorDiv: "floor division by zero", Mod: "remainder by zero"}
 
 
 def evaluate(term: Term, env: Optional[Env] = None, max_exponent: Optional[int] = None) -> int:
@@ -191,11 +186,12 @@ def evaluate(term: Term, env: Optional[Env] = None, max_exponent: Optional[int] 
     while stack:
         t = pop()
         kind = type(t)
-        if kind is _Apply:
+        if t is _JOIN:
             right = values.pop()
-            if right == 0 and t.by_zero:
-                raise DivisionByZero(t.by_zero)
-            values[-1] = t.fn(values[-1], right)
+            kind = type(pop())
+            if right == 0 and kind in _BY_ZERO:
+                raise DivisionByZero(_BY_ZERO[kind])
+            values[-1] = _OPERATIONS[kind](values[-1], right)
         elif kind is Const:
             push(t.value)
         elif kind is Var:
@@ -203,10 +199,10 @@ def evaluate(term: Term, env: Optional[Env] = None, max_exponent: Optional[int] 
                 push(bindings[t.name])
             except KeyError:
                 raise UnboundVariable(t.name) from None
-        elif kind in _LEFT_FIRST:
-            stack += (_APPLY[kind], t.right, t.left)
         elif kind is Pow:
-            stack += (_APPLY[Pow], t.left, _CHECK, t.right)
+            stack += (t, _JOIN, t.left, _CHECK, t.right)
+        elif kind in _OPERATIONS:
+            stack += (t, _JOIN, t.right, t.left)
         elif t is _CHECK:
             if max_exponent is not None and values[-1] > max_exponent:
                 raise ExponentGuardExceeded(values[-1], max_exponent)

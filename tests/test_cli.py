@@ -191,6 +191,50 @@ def test_negative_guard_bits_is_an_input_error(capsys):
     assert err == "error: --max-exponent-bits must be at least 0, got -1\n"
 
 
+GCD_USAGE = "usage: gcdlab gcd [-h] --variant {mazzanti,divmod,modmod} [--base BASE] [--max-exponent-bits BITS] a b"
+VERIFY_USAGE = (
+    "usage: gcdlab verify [-h] --variant {mazzanti,divmod,modmod} [--base BASE] [--max MAX] "
+    "[--mode {term,fast}] [--json] [--out PATH] [--max-exponent-bits BITS]"
+)
+EXTRACT_USAGE = "usage: gcdlab extract [-h] [--base BASE] --n N [--check-to CHECK_TO] num den"
+BENCH_USAGE = "usage: gcdlab bench [-h] [--pair A,B] [--base BASE] [--reps REPS] --out PATH [--json]"
+EVAL_USAGE = "usage: gcdlab eval [-h] [--bind NAME=VALUE] [--max-exponent-bits BITS] expr"
+
+
+# Integer arguments follow the package's ASCII number rule, -?[0-9]+, and a
+# value outside it gets argparse's own "invalid int value" line, as "x" does.
+@pytest.mark.parametrize(
+    "argv, usage, error",
+    [
+        (("gcd", "١٢", "+18", "--variant", "divmod", "--base", "٥"), GCD_USAGE, "argument a: invalid int value: '١٢'"),
+        (("gcd", "12", "+18", "--variant", "divmod"), GCD_USAGE, "argument b: invalid int value: '+18'"),
+        (("gcd", "12", "18", "--variant", "divmod", "--base", "٥"), GCD_USAGE, "argument --base: invalid int value: '٥'"),
+        (("verify", "--variant", "divmod", "--max", "3_0"), VERIFY_USAGE, "argument --max: invalid int value: '3_0'"),
+        (("verify", "--variant", "divmod", "--max", " 3"), VERIFY_USAGE, "argument --max: invalid int value: ' 3'"),
+        (("extract", "1", "1,-2,1", "--n", "٤"), EXTRACT_USAGE, "argument --n: invalid int value: '٤'"),
+        (
+            ("extract", "1", "1,-1", "--n", "3", "--check-to", "+50"),
+            EXTRACT_USAGE,
+            "argument --check-to: invalid int value: '+50'",
+        ),
+        (("bench", "--out", "x", "--reps", "3\n"), BENCH_USAGE, "argument --reps: invalid int value: '3\\n'"),
+        (
+            ("eval", "1", "--max-exponent-bits", "-٣"),
+            EVAL_USAGE,
+            "argument --max-exponent-bits: invalid int value: '-٣'",
+        ),
+    ],
+)
+def test_integer_arguments_are_ascii(capsys, monkeypatch, argv, usage, error):
+    monkeypatch.setenv("COLUMNS", "200")  # the usage line unwrapped
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    command = argv[0]
+    assert (exit_info.value.code, captured.out) == (EXIT_ERROR, "")
+    assert captured.err == f"{usage}\ngcdlab {command}: error: {error}\n"
+
+
 def test_verify_divmod_base5_clean(capsys):
     code, out, err = run(capsys, "verify", "--variant", "divmod", "--base", "5", "--max", "8")
     assert code == EXIT_OK

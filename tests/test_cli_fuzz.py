@@ -12,7 +12,7 @@ import re
 
 from gcdlab.cli import main
 
-BAD = ["", "x", "-", "1.5", "²", "π", "--", "٣"]  # int() reads "٣" as 3
+BAD = ["", "x", "-", "1.5", "²", "π", "--", "٣"]  # int() reads "٣" as 3; the CLI's ASCII rule does not
 OPERANDS = ["0", "1", "2", "7", "12", "a", "b", "(1)", "²", "٣", "π"]
 OPERATORS = ["+", "-", "*", "/", "%", "^", "^", "(", ")", " "]
 ERROR_LINE = re.compile(r"(error|syntax error|gcdlab( \w+)?: error): ")

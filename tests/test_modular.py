@@ -10,7 +10,6 @@ from gcdlab.errors import InvalidInput, InvalidModulus, PreconditionViolated, Un
 from gcdlab.formulas import euclid_gcd
 from gcdlab.modular import (
     BENCH_CSV_HEADER,
-    FALLBACK_IDENTITY_INSTANCE,
     ModIdentityInstance,
     bench_compare,
     check_mod_identity,
@@ -23,7 +22,6 @@ from gcdlab.modular import (
     power_bit_length,
     power_residue,
     random_identity_instance,
-    validate_identity_instance,
 )
 from gcdlab.series import count_solutions
 
@@ -109,11 +107,6 @@ def test_identity_on_many_random_instances():
 
 def test_random_instance_is_deterministic():
     assert random_identity_instance(123) == random_identity_instance(123)
-
-
-def test_fallback_instance_is_valid():
-    validate_identity_instance(FALLBACK_IDENTITY_INSTANCE)
-    assert check_mod_identity(FALLBACK_IDENTITY_INSTANCE).holds
 
 
 def test_negating_a_floor_quotient_shifts_it_by_one():

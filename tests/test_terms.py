@@ -1,6 +1,7 @@
 """Semantics of the term language: exact evaluation, substitution, and
 remainder desugaring."""
 
+import collections
 import random
 
 import pytest
@@ -126,6 +127,56 @@ def test_a_non_term_inside_a_tree_is_a_type_error(tree):
         evaluate(tree, {"a": 1})
     with pytest.raises(TypeError, match="not a term"):
         fold(tree, lambda t: 0, lambda t, left, right: 0)
+
+
+def reference_evaluate(t, env, guard):
+    """The documented semantics, recursively: left child first, except that a
+    Pow's exponent comes first and meets the guard before its base is read."""
+    kind = type(t)
+    if kind is Const:
+        return t.value
+    if kind is Var:
+        if t.name not in env:
+            raise UnboundVariable(t.name)
+        return env[t.name]
+    if kind is Pow:
+        exponent = reference_evaluate(t.right, env, guard)
+        if guard is not None and exponent > guard:
+            raise ExponentGuardExceeded(exponent, guard)
+        return reference_evaluate(t.left, env, guard) ** exponent
+    left = reference_evaluate(t.left, env, guard)
+    right = reference_evaluate(t.right, env, guard)
+    if kind is Add:
+        return left + right
+    if kind is Monus:
+        return max(left - right, 0)
+    if kind is Mul:
+        return left * right
+    if right == 0:
+        raise DivisionByZero("floor division by zero" if kind is FloorDiv else "remainder by zero")
+    return left // right if kind is FloorDiv else left % right
+
+
+def _outcome(evaluator, *args):
+    try:
+        return evaluator(*args)
+    except (DivisionByZero, ExponentGuardExceeded, UnboundVariable) as e:
+        return type(e), str(e)
+
+
+def test_evaluate_matches_a_recursive_reference():
+    rng = random.Random(1018)
+    names = ("a", "b", "x")
+    kinds = collections.Counter()
+    for _ in range(3000):
+        term = random_tame_term(rng, depth=rng.randint(0, 6), var_names=names)
+        env = {name: rng.randrange(4) for name in names if rng.random() < 0.8}
+        guard = rng.choice([None, 0, 1, 4])
+        want = _outcome(reference_evaluate, term, env, guard)
+        assert _outcome(evaluate, term, env, guard) == want, (term, env, guard)
+        kinds[want[0] if type(want) is tuple else int] += 1
+    assert kinds.keys() == {int, DivisionByZero, ExponentGuardExceeded, UnboundVariable}
+    assert min(kinds.values()) > 200  # every outcome, each in bulk
 
 
 def test_substitute_examples():

@@ -31,7 +31,7 @@ from .formulas import (
     gcd_formula,
     gcd_via_formula,
 )
-from .modular import BENCH_CSV_HEADER, bench_compare
+from .modular import BENCH_CSV_HEADER, bench_compare, bench_exponent
 from .parser import ParseError, parse_term
 from .series import (
     RationalFunction,
@@ -223,6 +223,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if min(pair) < 1:
             raise InvalidInput(f"bad pair {text!r}, expected A,B with naturals >= 1")
         pairs.append(pair)
+    limit = _exponent_limit(args)
+    for a, b in pairs:  # every pair meets the guard before any is timed
+        bench_exponent(a, b, args.base, args.reps, limit)
     # strictly sequential, one pair at a time
     records = [bench_compare(a, b, args.base, args.reps) for a, b in pairs]
     if args.json:
@@ -332,6 +335,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=_integer, default=3, help="repetitions per pair (default %(default)s)")
     p_bench.add_argument("--out", required=True, metavar="PATH", help="CSV (or JSON) output path")
     p_bench.add_argument("--json", action="store_true", help="write JSON instead of CSV")
+    _add_guard_flag(p_bench)
     p_bench.set_defaults(handler=_cmd_bench)
 
     return parser

@@ -257,15 +257,22 @@ def _timed(
     return value, int(statistics.median(times))
 
 
+def bench_exponent(a: int, b: int, c: int, repetitions: int, max_exponent: Optional[int] = None) -> int:
+    """The E that bench_compare(a, b, c, repetitions) would power by, after
+    the checks it makes, in its order; an E above max_exponent, when given,
+    raises ExponentGuardExceeded. Nothing is timed and no power is formed."""
+    if repetitions < 1:
+        raise InvalidInput("repetitions must be at least 1")
+    return _formula_exponent(a, b, c, max_exponent)
+
+
 def bench_compare(a: int, b: int, c: int, repetitions: int) -> BenchRecord:
     """Median wall-clock comparison of the two formula paths on one pair.
 
     Runs strictly sequentially; each repetition re-does the whole computation
     including materializing the power on the div-mod side.
     """
-    if repetitions < 1:
-        raise InvalidInput("repetitions must be at least 1")
-    bits = power_bit_length(c, _formula_exponent(a, b, c))
+    bits = power_bit_length(c, bench_exponent(a, b, c, repetitions))
     divmod_value, divmod_ns = _timed(divmod_direct_value, a, b, c, repetitions)
     modmod_value, modmod_ns = _timed(modmod_signed_value, a, b, c, repetitions)
     return BenchRecord(a, b, c, bits, divmod_ns, modmod_ns, divmod_value == modmod_value)

@@ -3,7 +3,8 @@
 Operators: addition, truncated subtraction (clamped at zero), multiplication,
 floor division, exponentiation, and a remainder node.  Remainder is sugar:
 ``desugar_mod`` rewrites it using the other five operators.  All values are
-arbitrary-precision naturals and evaluation is exact.
+arbitrary-precision naturals and evaluation is exact; a power that a
+remainder reduces is reduced modulo it, not formed.
 """
 
 from __future__ import annotations
@@ -128,8 +129,19 @@ Term = Union[Const, Var, Add, Monus, Mul, FloorDiv, Pow, Mod]
 # left child is walked first, and at _JOIN the node combines both children's
 # values.  evaluate pushes (node, _JOIN, base, _CHECK, exponent) for a Pow:
 # at _CHECK the exponent is known and its base not yet visited.
+#
+# evaluate never forms a power that a Mod reduces.  Mod(Pow(x, e), m) pushes
+# (_REDUCE, m, _ONE, x, _CHECK, e), and Mod(FloorDiv(Pow(x, e), y), m) pushes
+# (_REDUCE, m, _NONZERO, y, x, _CHECK, e): the children are walked in the
+# order the plain frames walk them, _NONZERO refuses y = 0 before m is
+# walked, and at _REDUCE the values e, x, y, m give pow(x, e, y*m) // y,
+# which is (x^e // y) % m for y, m > 0 (README, "Why it works").  A Mod of
+# a Pow is the same with y = 1.
 _JOIN = object()
 _CHECK = object()
+_NONZERO = object()
+_REDUCE = object()
+_ONE = Const(1)
 
 
 def fold(term: Term, leaf: Callable, node: Callable) -> Any:
@@ -178,6 +190,9 @@ def evaluate(term: Term, env: Optional[Env] = None, max_exponent: Optional[int] 
     one raises ExponentGuardExceeded instead of attempting a gigantic power.
     Children are evaluated left first, except that a Pow evaluates its
     exponent first, so the guard refuses it before its base is visited.
+    A power that is the left child of a Mod, alone or as the dividend of a
+    FloorDiv, is reduced under the modulus and never formed; the value and
+    the first error raised are those of forming it, for natural bindings.
     """
     bindings: Env = env if env is not None else {}
     values: list[int] = []
@@ -201,11 +216,27 @@ def evaluate(term: Term, env: Optional[Env] = None, max_exponent: Optional[int] 
                 raise UnboundVariable(t.name) from None
         elif kind is Pow:
             stack += (t, _JOIN, t.left, _CHECK, t.right)
+        elif kind is Mod and type(t.left) is Pow:
+            power = t.left
+            stack += (_REDUCE, t.right, _ONE, power.left, _CHECK, power.right)
+        elif kind is Mod and type(t.left) is FloorDiv and type(t.left.left) is Pow:
+            power = t.left.left
+            stack += (_REDUCE, t.right, _NONZERO, t.left.right, power.left, _CHECK, power.right)
         elif kind in _OPERATIONS:
             stack += (t, _JOIN, t.right, t.left)
         elif t is _CHECK:
             if max_exponent is not None and values[-1] > max_exponent:
                 raise ExponentGuardExceeded(values[-1], max_exponent)
+        elif t is _NONZERO:
+            if values[-1] == 0:
+                raise DivisionByZero(_BY_ZERO[FloorDiv])
+        elif t is _REDUCE:
+            modulus = values.pop()
+            if modulus == 0:
+                raise DivisionByZero(_BY_ZERO[Mod])
+            divisor = values.pop()
+            base = values.pop()
+            values[-1] = bigint.floordiv(pow(base, values[-1], divisor * modulus), divisor)
         else:
             raise TypeError(f"not a term: {t!r}")
     return values[0]

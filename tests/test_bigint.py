@@ -194,8 +194,14 @@ def _without_timings(text):
     ]
 
 
-@pytest.mark.parametrize("variant,grid", [("divmod", "12"), ("modmod", "8")])
-@pytest.mark.parametrize("base", ["2", "3", "4", "5"])
+# mazzanti pins its base to 2, so one base covers it
+TERM_MODE_CASES = [
+    *((base, variant, grid) for variant, grid in (("divmod", "12"), ("modmod", "8")) for base in "2345"),
+    ("2", "mazzanti", "8"),
+]
+
+
+@pytest.mark.parametrize("base,variant,grid", TERM_MODE_CASES)
 def test_verify_term_mode_is_unchanged(capsys, monkeypatch, recursion_depth, variant, grid, base):
     argv = ("verify", "--variant", variant, "--base", base, "--mode", "term", "--max", grid)
     monkeypatch.setattr(bigint, "DIV_MIN_BITS", 10**9)
@@ -204,6 +210,12 @@ def test_verify_term_mode_is_unchanged(capsys, monkeypatch, recursion_depth, var
     monkeypatch.setattr(bigint, "DIV_MIN_BITS", 24)
     monkeypatch.setattr(bigint, "QUOTIENT_MIN_BITS", 12)
     code, out, err = _run(capsys, *argv)
-    assert recursion_depth["max"] >= 3 or not ACTIVE
+    if variant == "divmod":
+        # the term walk reduces c^E under the modulus D*c^(ab), and the
+        # quotient it then takes, gcd + 1, is below the layer's thresholds
+        assert recursion_depth["max"] == 0
+    else:
+        # mod-mod's (D - r) % c^(ab) and mazzanti's quotient of products do
+        assert recursion_depth["max"] >= 3 or not ACTIVE
     assert (code, err) == (builtin_code, builtin_err) and code == 0
     assert _without_timings(out) == _without_timings(builtin_out)

@@ -197,7 +197,10 @@ VERIFY_USAGE = (
     "[--mode {term,fast}] [--json] [--out PATH] [--max-exponent-bits BITS]"
 )
 EXTRACT_USAGE = "usage: gcdlab extract [-h] [--base BASE] --n N [--check-to CHECK_TO] num den"
-BENCH_USAGE = "usage: gcdlab bench [-h] [--pair A,B] [--base BASE] [--reps REPS] --out PATH [--json]"
+BENCH_USAGE = (
+    "usage: gcdlab bench [-h] [--pair A,B] [--base BASE] [--reps REPS] --out PATH [--json] "
+    "[--max-exponent-bits BITS]"
+)
 EVAL_USAGE = "usage: gcdlab eval [-h] [--bind NAME=VALUE] [--max-exponent-bits BITS] expr"
 
 
@@ -434,6 +437,37 @@ def test_bench_rejects_bad_pair(tmp_path, capsys):
         assert (code, out) == (EXIT_ERROR, ""), pair
         assert err == f"error: bad pair {pair!r}, expected A,B with naturals >= 1\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+# every pair meets the guard before the first is timed: (1000, 1000) would
+# form 5^(~10^12), and a refusal writes no file
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (("--pair", "1000,1000"), (1_002_000_000_000, 1 << 26)),
+        (("--pair", "2,2", "--pair", "1000,1000"), (1_002_000_000_000, 1 << 26)),
+        (("--pair", "2,2", "--max-exponent-bits", "4"), (32, 16)),
+        (("--pair", "1,1", "--pair", "2,3", "--base", "2", "--max-exponent-bits", "5", "--json"), (66, 32)),
+    ],
+)
+def test_bench_refuses_an_exponent_above_the_guard(tmp_path, capsys, argv, refused):
+    path = tmp_path / "bench.csv"
+    code, out, err = run(capsys, "bench", *argv, "--reps", "1", "--out", str(path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: exponent {refused[0]} exceeds the guard limit {refused[1]}\n"
+    assert not path.exists()
+
+
+def test_bench_checks_the_guard_after_the_pairs_and_the_repetitions(tmp_path, capsys):
+    path = str(tmp_path / "bench.csv")
+    for argv, err in [
+        (("--pair", "1000,1000", "--reps", "0"), "error: repetitions must be at least 1\n"),
+        (("--pair", "1000,1000", "--pair", "0,1"), "error: bad pair '0,1', expected A,B with naturals >= 1\n"),
+        (("--pair", "2,2", "--max-exponent-bits", "-1"), "error: --max-exponent-bits must be at least 0, got -1\n"),
+    ]:
+        assert run(capsys, "bench", *argv, "--out", path) == (EXIT_ERROR, "", err)
+    code, _, _ = run(capsys, "bench", "--pair", "2,2", "--reps", "1", "--max-exponent-bits", "5", "--out", path)
+    assert code == EXIT_OK  # E = 32 is not above 2^5
 
 
 def test_bench_unwritable_path_is_an_io_error(capsys):

@@ -93,6 +93,8 @@ def _bench(rng, tmp_path):
     argv += _base(rng) + ["--reps", _number(rng, -1, 2)]
     if rng.random() < 0.5:
         argv += ["--json"]
+    if rng.random() < 0.5:
+        argv += _guard(rng)
     return argv + (_out(rng, tmp_path) if rng.random() < 0.9 else [])
 
 

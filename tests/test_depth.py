@@ -16,6 +16,13 @@ DEEP_INPUTS = {
     "left + chain": ("a" + " + 1" * (DEPTH - 1), None, A + DEPTH - 1, False),
     "right ^ chain": ("1^" * (DEPTH - 1) + "a", None, 1, False),
     "left % chain": ("a" + "%7" * (DEPTH - 1), None, A % 7, True),
+    # every % reduces the power to its left: evaluate's reduced frames
+    "power % chain": (
+        "(" * (DEPTH - 1) + "a" + ")^1%7" * (DEPTH - 1),
+        "(" * (DEPTH - 2) + "a" + "^1%7)" * (DEPTH - 2) + "^1%7",
+        A % 7,
+        True,
+    ),
 }
 
 

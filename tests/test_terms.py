@@ -2,10 +2,13 @@
 remainder desugaring."""
 
 import collections
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from gcdlab import bigint
 from gcdlab.errors import (
     DivisionByZero,
     ExponentGuardExceeded,
@@ -177,6 +180,67 @@ def test_evaluate_matches_a_recursive_reference():
         kinds[want[0] if type(want) is tuple else int] += 1
     assert kinds.keys() == {int, DivisionByZero, ExponentGuardExceeded, UnboundVariable}
     assert min(kinds.values()) > 200  # every outcome, each in bulk
+
+
+def test_a_quotient_reduces_under_its_modulus():
+    """floor(X/y) mod m = floor((X mod y*m) / y) for y, m > 0 and X of either
+    sign: the lemma evaluate reduces Mod(FloorDiv(Pow, y), m) by, checked
+    against exact rationals at sizes on both sides of the big-integer
+    layer's division threshold."""
+    rng = random.Random(1913)
+    sizes = (1, 20, bigint.DIV_MIN_BITS // 2, 2 * bigint.DIV_MIN_BITS)
+    for _ in range(600):
+        y, m = (rng.getrandbits(rng.choice(sizes)) + 1 for _ in range(2))
+        x = rng.getrandbits(rng.choice(sizes) + y.bit_length() + m.bit_length())
+        x *= rng.choice((1, -1))
+        assert math.floor(Fraction(x, y)) % m == x % (y * m) // y, (x, y, m)
+    for _ in range(100):
+        c, e = rng.randint(0, 9), rng.randrange(4 * bigint.DIV_MIN_BITS)
+        y, m = (rng.getrandbits(rng.choice(sizes)) + 1 for _ in range(2))
+        assert math.floor(Fraction(c**e, y)) % m == pow(c, e, y * m) // y, (c, e, y, m)
+
+
+def _reducible(rng, names, depth):
+    """Mod(Pow(x, e), m) or Mod(FloorDiv(Pow(x, e), y), m), the two shapes
+    evaluate reduces under the modulus. x may be such a shape again, and x,
+    e, y and m are small terms that may be variables, compound, zero, unbound
+    or dividing by zero, so the guard, both zero divisors and every error
+    meet the reduced frames."""
+
+    def small():
+        return random_tame_term(rng, rng.randint(0, 1), names)
+
+    base = _reducible(rng, names, depth - 1) if depth and rng.random() < 0.3 else small()
+    power = Pow(base, small())
+    left = power if rng.random() < 0.5 else FloorDiv(power, small())
+    return Mod(left, small())
+
+
+def test_reduced_powers_match_the_reference():
+    rng = random.Random(1919)
+    names = ("a", "b", "x")
+    kinds = collections.Counter()
+    for _ in range(3000):
+        term = _reducible(rng, names, 2)
+        if rng.random() < 0.3:  # inside an operator, on either side
+            other = random_tame_term(rng, 1, names)
+            term = rng.choice((Add, Monus, Mul, Mod))(*rng.sample((term, other), 2))
+        env = {name: rng.randrange(4) for name in names if rng.random() < 0.8}
+        guard = rng.choice([None, 0, 1, 4])
+        want = _outcome(reference_evaluate, term, env, guard)
+        assert _outcome(evaluate, term, env, guard) == want, (term, env, guard)
+        if type(want) is tuple:  # both zero-division messages count apart
+            kinds[want if want[0] is DivisionByZero else want[0]] += 1
+        else:
+            kinds[int] += 1
+    assert kinds.keys() == {
+        int,
+        ExponentGuardExceeded,
+        UnboundVariable,
+        (DivisionByZero, "floor division by zero"),
+        (DivisionByZero, "remainder by zero"),
+    }
+    assert min(kinds.values()) > 100, kinds
 
 
 def test_substitute_examples():

@@ -47,6 +47,8 @@ EXIT_ERROR = 2
 EXIT_VIOLATION = 3
 
 DEFAULT_MAX_EXPONENT_BITS = 26
+# the guard is the int 2^BITS; at this maximum it takes 8 KiB
+MAX_EXPONENT_BITS = 65536
 
 
 class Mismatch(NamedTuple):
@@ -131,9 +133,12 @@ def _integer(text: str) -> int:
 
 
 def _exponent_limit(args: argparse.Namespace) -> int:
-    if args.max_exponent_bits < 0:
-        raise InvalidInput(f"--max-exponent-bits must be at least 0, got {args.max_exponent_bits}")
-    return 1 << args.max_exponent_bits
+    bits = args.max_exponent_bits
+    if bits < 0:
+        raise InvalidInput(f"--max-exponent-bits must be at least 0, got {bits}")
+    if bits > MAX_EXPONENT_BITS:
+        raise InvalidInput(f"--max-exponent-bits must be at most {MAX_EXPONENT_BITS}, got {bits}")
+    return 1 << bits
 
 
 def _write_out(path: str, text: str) -> None:

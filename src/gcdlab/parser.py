@@ -11,12 +11,12 @@ negative literal.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
 from .errors import GcdLabError
-from .terms import IDENTIFIER, NATURAL, Add, Const, FloorDiv, Mod, Monus, Mul, Pow, Term, Var, fold
+from .terms import IDENTIFIER, NATURAL, Add, Const, FloorDiv, Mod, Monus, Mul, Pow, Term, Var
+from .terms import _term_leaf, _walk
 
 # One search over the whole text finds the first character outside the
 # grammar (its classes are those of NATURAL and IDENTIFIER), so a bad
@@ -38,7 +38,7 @@ _OPERATORS = {
     "^": (3, 4, Pow),
 }
 _SYMBOLS = {node: (symbol, level) for symbol, (level, _, node) in _OPERATORS.items()}
-_ATOM_LEVEL = 9
+_ATOM = (None, 9)  # a leaf's entry: it binds tightest
 # the operator stack's floor, and its entry for an open parenthesis: below
 # every operator's threshold, so a reduction stops there
 _FLOOR = (0, 0, None)
@@ -126,28 +126,12 @@ def parse_term(text: str) -> Term:
 def pretty_print(term: Term) -> str:
     """Render with the fewest parentheses that still parse back to this tree."""
 
-    def leaf(t: Term) -> tuple[deque, int]:
-        return deque((str(t.value) if type(t) is Const else t.name,)), _ATOM_LEVEL
-
-    def node(t: Term, left: tuple[deque, int], right: tuple[deque, int]) -> tuple[deque, int]:
-        (left, left_level), (right, right_level) = left, right
-        symbol, level = _SYMBOLS[type(t)]
+    def parts(t: Term) -> tuple[str, str, str]:
+        symbol, level = _SYMBOLS.get(type(t)) or _term_leaf(t)  # a node of no operator is no term
         right_assoc = type(t) is Pow
-        if left_level < level + right_assoc:
-            left.appendleft("(")
-            left.append(")")
-        if right_level < level + (not right_assoc):
-            right.appendleft("(")
-            right.append(")")
+        wrap_left = _SYMBOLS.get(type(t.left), _ATOM)[1] < level + right_assoc
+        wrap_right = _SYMBOLS.get(type(t.right), _ATOM)[1] < level + (not right_assoc)
         joint = f" {symbol} " if level == 1 else symbol
-        # join the shorter piece list onto the longer, so long chains stay linear
-        if len(left) >= len(right):
-            left.append(joint)
-            left.extend(right)
-            return left, level
-        right.appendleft(joint)
-        right.extendleft(reversed(left))
-        return right, level
+        return "(" * wrap_left, ")" * wrap_left + joint + "(" * wrap_right, ")" * wrap_right
 
-    pieces, _ = fold(term, leaf, node)
-    return "".join(pieces)
+    return "".join(_walk(term, parts, lambda t: str(t.value) if type(t) is Const else _term_leaf(t).name))

@@ -1,10 +1,12 @@
-"""AST for a natural-number term language and its exact evaluator.
+"""AST for a natural-number term language, its exact evaluator and its walks.
 
 Operators: addition, truncated subtraction (clamped at zero), multiplication,
 floor division, exponentiation, and a remainder node.  Remainder is sugar:
 ``desugar_mod`` rewrites it using the other five operators.  All values are
 arbitrary-precision naturals and evaluation is exact; a power that a
-remainder reduces is reduced modulo it, not formed.
+remainder reduces is reduced modulo it, not formed.  Three loops walk a
+term on explicit stacks, so depth is unbounded: ``fold``, ``evaluate`` and
+``_walk``, whose in-order pieces repr, ==, hash and ``pretty_print`` read.
 """
 
 from __future__ import annotations
@@ -60,43 +62,20 @@ class _Binary:
     left: "Term"
     right: "Term"
 
-    # Written out, not generated, so that depth is unbounded: equality walks
-    # an explicit stack of node pairs, hashing is a fold, and repr keeps its
-    # own stack loop, since a fold raises TypeError on a malformed tree such
-    # as Add(Const(1), 2) and repr must not.  Equality and hashing stay
-    # class-exact, and repr keeps the generated text.
+    # Written out, not generated, so that depth is unbounded: all three read
+    # _walk.  == compares leaves by their own ==, hash refuses a non-term leaf.
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if type(other) is not type(self):
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            x, y = pairs.pop()
-            if x is y:
-                continue
-            if type(x) is not type(y):
-                return False
-            if isinstance(x, _Binary):
-                pairs += ((x.right, y.right), (x.left, y.left))
-            elif x != y:
-                return False
-        return True
+        return _walk(self, _shape, _same) == _walk(other, _shape, _same)
 
     def __hash__(self) -> int:
-        return fold(self, hash, lambda t, left, right: hash((type(t), left, right)))
+        return hash(tuple(_walk(self, _shape, _term_leaf)))
 
     def __repr__(self) -> str:
-        pieces = []
-        stack: list = [self]
-        while stack:
-            t = stack.pop()
-            if type(t) is str:
-                pieces.append(t)
-            elif isinstance(t, _Binary):
-                pieces.append(f"{type(t).__qualname__}(left=")
-                stack += (")", t.right, ", right=", t.left)
-            else:
-                pieces.append(repr(t))
-        return "".join(pieces)
+        return "".join(_walk(self, lambda t: (f"{type(t).__qualname__}(left=", ", right=", ")"), repr))
 
 
 class Add(_Binary):
@@ -142,6 +121,44 @@ _CHECK = object()
 _NONZERO = object()
 _REDUCE = object()
 _ONE = Const(1)
+# _walk pushes a text piece behind _PIECE, so that a str inside a malformed
+# tree is still a child.  To == and hash a node is its class and an _END
+# after each child, so two trees give equal pieces only when they are equal.
+_PIECE = object()
+_END = object()
+
+
+def _walk(term: Term, parts: Callable, leaf: Callable) -> list:
+    """A term's pieces in order: parts(t) gives the (before, between, after)
+    around a binary node's children, leaf(t) the piece of anything else."""
+    pieces: list = []
+    stack: list = [term]
+    pop, emit = stack.pop, pieces.append
+    while stack:
+        t = pop()
+        if t is _PIECE:
+            emit(pop())
+        elif isinstance(t, _Binary):
+            before, between, after = parts(t)
+            emit(before)
+            stack += (after, _PIECE, t.right, between, _PIECE, t.left)
+        else:
+            emit(leaf(t))
+    return pieces
+
+
+def _shape(t: _Binary) -> tuple:
+    return type(t), _END, _END
+
+
+def _same(t: object) -> object:
+    return t
+
+
+def _term_leaf(t: object) -> object:
+    if type(t) is Const or type(t) is Var:
+        return t
+    raise TypeError(f"not a term: {t!r}")
 
 
 def fold(term: Term, leaf: Callable, node: Callable) -> Any:
@@ -159,12 +176,10 @@ def fold(term: Term, leaf: Callable, node: Callable) -> Any:
         if t is _JOIN:
             right = values.pop()
             values[-1] = node(pop(), values[-1], right)
-        elif kind is Const or kind is Var:
-            push(leaf(t))
         elif kind in _OPERATIONS:
             stack += (t, _JOIN, t.right, t.left)
         else:
-            raise TypeError(f"not a term: {t!r}")
+            push(leaf(_term_leaf(t)))
     return values[0]
 
 
@@ -192,9 +207,13 @@ def evaluate(term: Term, env: Optional[Env] = None, max_exponent: Optional[int] 
     exponent first, so the guard refuses it before its base is visited.
     A power that is the left child of a Mod, alone or as the dividend of a
     FloorDiv, is reduced under the modulus and never formed; the value and
-    the first error raised are those of forming it, for natural bindings.
+    the first error raised are those of forming it.  A binding that is not
+    a natural raises InvalidInput before the term is walked.
     """
     bindings: Env = env if env is not None else {}
+    for name, value in bindings.items():
+        if not isinstance(value, int) or value < 0:
+            raise InvalidInput(f"bad binding {name}={value!r}, expected a natural")
     values: list[int] = []
     stack: list = [term]
     pop, push = stack.pop, values.append
@@ -270,13 +289,9 @@ def desugar_mod(term: Term) -> Term:
 
 
 def free_variables(term: Term) -> frozenset[str]:
-    def node(t: Term, left: set, right: set) -> set:
-        if len(left) < len(right):  # smaller into larger: chains of distinct names stay fast
-            left, right = right, left
-        left |= right
-        return left
-
-    return frozenset(fold(term, lambda t: {t.name} if type(t) is Var else set(), node))
+    names: set[str] = set()
+    fold(term, lambda t: type(t) is Var and names.add(t.name), lambda t, left, right: None)
+    return frozenset(names)
 
 
 def is_closed(term: Term) -> bool:

@@ -191,6 +191,21 @@ def test_negative_guard_bits_is_an_input_error(capsys):
     assert err == "error: --max-exponent-bits must be at least 0, got -1\n"
 
 
+# the guard is built as the int 2^BITS, so BITS itself has a maximum
+@pytest.mark.parametrize("argv", [("eval", "1"), ("bench", "--pair", "2,2", "--reps", "1")])
+def test_guard_bits_above_the_maximum_is_an_input_error(tmp_path, capsys, argv):
+    out_path = tmp_path / "bench.csv"
+    if argv[0] == "bench":
+        argv += ("--out", str(out_path))
+    for bits in ("65537", str(10**9)):
+        code, out, err = run(capsys, *argv, "--max-exponent-bits", bits)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"error: --max-exponent-bits must be at most 65536, got {bits}\n"
+        assert not out_path.exists()
+    code, _, err = run(capsys, *argv, "--max-exponent-bits", "65536")
+    assert (code, err) == (EXIT_OK, "")
+
+
 GCD_USAGE = "usage: gcdlab gcd [-h] --variant {mazzanti,divmod,modmod} [--base BASE] [--max-exponent-bits BITS] a b"
 VERIFY_USAGE = (
     "usage: gcdlab verify [-h] --variant {mazzanti,divmod,modmod} [--base BASE] [--max MAX] "

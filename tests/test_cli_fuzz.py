@@ -4,7 +4,8 @@ a documented exit code and never let an exception escape; exits 1 and 2
 end in an error line on stderr.
 
 Sizes stay small (grids and pairs up to 8, --n up to 40, exponent guards up
-to 2^6, term texts up to 12 characters) so the whole run takes seconds.
+to 2^6, term texts up to 12 characters) so the whole run takes seconds; a
+guard is sometimes drawn at or past its maximum of 2^65536.
 """
 
 import random
@@ -36,6 +37,8 @@ def _term(rng):
 
 
 def _guard(rng):
+    if rng.random() < 0.1:  # at and past the maximum of 65536
+        return ["--max-exponent-bits", rng.choice(["65536", "65537", str(10**9)])]
     return ["--max-exponent-bits", _number(rng, -2, 6)]
 
 

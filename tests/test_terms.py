@@ -1,7 +1,8 @@
-"""Semantics of the term language: exact evaluation, substitution, and
-remainder desugaring."""
+"""Semantics of the term language: exact evaluation, substitution,
+remainder desugaring, and equality, hashing and repr of trees."""
 
 import collections
+import copy
 import math
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from gcdlab.errors import (
     InvalidInput,
     UnboundVariable,
 )
+from gcdlab.parser import parse_term, pretty_print
 from gcdlab.terms import (
     Add,
     Const,
@@ -33,7 +35,7 @@ from gcdlab.terms import (
     substitute,
 )
 
-from helpers import random_tame_term
+from helpers import BINARY_NODES, random_tame_term, random_term
 
 
 def test_monus_clamps_at_zero():
@@ -65,6 +67,23 @@ def test_division_by_zero_raises():
         evaluate(FloorDiv(Const(1), Const(0)))
     with pytest.raises(DivisionByZero):
         evaluate(Mod(Const(1), Const(0)))
+
+
+# with a negative binding, 2^a would be a float, and the powers reduced
+# under a % would differ from the formed ones
+@pytest.mark.parametrize(
+    "text, env, name",
+    [
+        ("2^a", {"a": -1}, "a"),
+        ("2^a % 5", {"a": -1}, "a"),
+        ("a^2/b%c", {"a": 3, "b": 2, "c": -4}, "c"),
+        ("a + 1", {"a": 1.0}, "a"),
+        ("1", {"a": 1, "z": -1}, "z"),  # every binding, even one the term does not read
+    ],
+)
+def test_a_binding_that_is_not_a_natural_is_refused(text, env, name):
+    with pytest.raises(InvalidInput, match=f"bad binding {name}="):
+        evaluate(parse_term(text), env)
 
 
 def test_unbound_variable_raises_with_name():
@@ -113,18 +132,18 @@ def test_left_operand_is_evaluated_first():
         evaluate(Add(FloorDiv(Const(1), Const(0)), Var("y")))
 
 
-@pytest.mark.parametrize(
-    "tree",
-    [
-        Add(Const(1), 2),
-        Pow(Const(2), "x"),
-        Pow(object(), Const(1)),
-        Mul(None, Var("a")),
-        # a node class is no marker of evaluate's stack
-        Add(Const(10**18), Add(Const(10**18), Pow)),
-        Mul(Mod, Const(1)),
-    ],
-)
+MALFORMED_TREES = [
+    Add(Const(1), 2),
+    Pow(Const(2), "x"),
+    Pow(object(), Const(1)),
+    Mul(None, Var("a")),
+    # a node class is no marker of evaluate's stack
+    Add(Const(10**18), Add(Const(10**18), Pow)),
+    Mul(Mod, Const(1)),
+]
+
+
+@pytest.mark.parametrize("tree", MALFORMED_TREES)
 def test_a_non_term_inside_a_tree_is_a_type_error(tree):
     with pytest.raises(TypeError, match="not a term"):
         evaluate(tree, {"a": 1})
@@ -326,9 +345,79 @@ def test_free_variables():
 
 def test_repr_is_the_dataclass_text():
     assert repr(Add(Const(1), Var("a"))) == "Add(left=Const(value=1), right=Var(name='a'))"
+    assert repr(Pow(Const(2), "x")) == "Pow(left=Const(value=2), right='x')"
     term = Pow(Mod(Var("x"), Const(7)), Monus(Mul(Const(2), Var("y")), FloorDiv(Const(9), Const(4))))
     assert repr(term) == (
         "Pow(left=Mod(left=Var(name='x'), right=Const(value=7)), "
         "right=Monus(left=Mul(left=Const(value=2), right=Var(name='y')), "
         "right=FloorDiv(left=Const(value=9), right=Const(value=4))))"
     )
+
+
+def reference_equal(x, y):
+    """== of terms, recursively: class-exact at a node, a leaf's own == at a leaf."""
+    if type(x) in BINARY_NODES or type(y) in BINARY_NODES:
+        return type(x) is type(y) and reference_equal(x.left, y.left) and reference_equal(x.right, y.right)
+    return x == y
+
+
+def _copy(t):
+    if type(t) in BINARY_NODES:
+        return type(t)(_copy(t.left), _copy(t.right))
+    return type(t)(t.value) if type(t) is Const else Var(t.name)
+
+
+def _near_miss(rng, t):
+    """t with one leaf replaced, one node's class changed or one node's
+    children swapped; by chance the result can still equal t."""
+    positions, stack = [], [((), t)]
+    while stack:
+        path, s = stack.pop()
+        positions.append((path, s))
+        if type(s) in BINARY_NODES:
+            stack += [(path + ("left",), s.left), (path + ("right",), s.right)]
+    path, s = rng.choice(positions)
+    if type(s) not in BINARY_NODES:
+        new = random_term(rng, 0)
+    elif rng.random() < 0.5:
+        new = rng.choice(BINARY_NODES)(s.left, s.right)
+    else:
+        new = type(s)(s.right, s.left)
+    return _replace(t, path, new)
+
+
+def _replace(t, path, new):
+    if not path:
+        return new
+    if path[0] == "left":
+        return type(t)(_replace(t.left, path[1:], new), t.right)
+    return type(t)(t.left, _replace(t.right, path[1:], new))
+
+
+def test_equality_and_hash_match_a_recursive_reference():
+    rng = random.Random(1015)
+    outcomes = collections.Counter()
+    for _ in range(3000):
+        x = random_term(rng, depth=rng.randint(0, 6))
+        y = _copy(x) if rng.random() < 0.3 else _near_miss(rng, x)
+        want = reference_equal(x, y)
+        assert (x == y) is want and (y == x) is want and (x != y) is not want, (x, y)
+        assert (hash(x) == hash(y)) is want, (x, y)
+        outcomes[want] += 1
+    assert min(outcomes.values()) > 800, outcomes
+
+
+def test_malformed_trees_compare_like_the_reference_and_do_not_hash_or_print():
+    trees = MALFORMED_TREES + [copy.deepcopy(t) for t in MALFORMED_TREES]
+    equal_pairs = 0
+    for x in trees:
+        for y in trees:
+            want = reference_equal(x, y)
+            assert (x == y) is want, (x, y)
+            equal_pairs += want
+        with pytest.raises(TypeError, match="not a term"):
+            hash(x)
+        with pytest.raises(TypeError, match="not a term"):
+            pretty_print(x)
+        assert type(repr(x)) is str
+    assert equal_pairs > len(trees)  # more than each tree with itself

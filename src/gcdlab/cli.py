@@ -3,8 +3,8 @@ formulas, verify formulas against Euclid on grids, extract series
 coefficients, and benchmark the two formula paths.
 
 Exit codes: 0 success; 1 syntax error in a term; 2 evaluation or input
-error; 3 an identity check failed (verify found an undocumented mismatch,
-or bench saw the two paths disagree).
+error, or out of memory; 3 an identity check failed (verify found an
+undocumented mismatch, or bench saw the two paths disagree).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .bigint import to_str
@@ -58,8 +57,7 @@ class Mismatch(NamedTuple):
     expected: int
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     formula: GcdFormula
     range_max: int
     mode: str
@@ -363,6 +361,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_SYNTAX
     except GcdLabError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory computing the result", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -6,9 +6,8 @@ is known to get wrong.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import modular
 from .errors import BaseTooSmall, InvalidInput
@@ -24,8 +23,7 @@ class Variant(enum.Enum):
     MODMOD = "modmod"
 
 
-@dataclass(frozen=True)
-class GcdFormula:
+class GcdFormula(NamedTuple):
     """A formula variant plus the exact set of pairs it gets wrong.
 
     The set is proved for every base (README, "Why it works"): {(1, 1)} for

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import json
 import random
-import statistics
 import time
-from dataclasses import astuple, dataclass
 from decimal import Context, Decimal, localcontext
 from typing import Callable, NamedTuple, Optional
 
@@ -55,8 +53,7 @@ def fast_pow_mod(base: int, exp: int, modulus: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class ModIdentityInstance:
+class ModIdentityInstance(NamedTuple):
     """Inputs for ((-dividend) mod divisor) mod modulus
     = 1 + (dividend // divisor) mod modulus."""
 
@@ -228,8 +225,7 @@ def power_bit_length(c: int, e: int) -> int:
 BENCH_CSV_HEADER = "a,b,c,bits_A,divmod_ns,modmod_ns,equal"
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     a: int
     b: int
     c: int
@@ -239,10 +235,19 @@ class BenchRecord:
     values_equal: bool
 
     def csv_row(self) -> str:
-        return ",".join(json.dumps(value) for value in astuple(self))
+        return ",".join(json.dumps(value) for value in self)
 
     def json_dict(self) -> dict:
-        return dict(zip(BENCH_CSV_HEADER.split(","), astuple(self)))
+        return dict(zip(BENCH_CSV_HEADER.split(","), self))
+
+
+def _median(values: list[int]) -> float:
+    """The middle value, or the mean of the two middle ones for an even count."""
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
 
 
 def _timed(
@@ -254,7 +259,7 @@ def _timed(
         start = time.perf_counter_ns()
         value = route(a, b, c)
         times.append(time.perf_counter_ns() - start)
-    return value, int(statistics.median(times))
+    return value, int(_median(times))
 
 
 def bench_exponent(a: int, b: int, c: int, repetitions: int, max_exponent: Optional[int] = None) -> int:

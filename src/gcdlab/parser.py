@@ -11,8 +11,8 @@ negative literal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import GcdLabError
 from .terms import IDENTIFIER, NATURAL, Add, Const, FloorDiv, Mod, Monus, Mul, Pow, Term, Var
@@ -44,8 +44,7 @@ _ATOM = (None, 9)  # a leaf's entry: it binds tightest
 _FLOOR = (0, 0, None)
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """Half-open offset range [start, end) into the input text."""
 
     start: int

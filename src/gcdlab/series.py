@@ -12,7 +12,7 @@ s(n) < c^(n-2).
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BaseTooSmall,
@@ -22,17 +22,16 @@ from .errors import (
     NoValidRank,
     ZeroDenominator,
 )
-from .terms import match_integer
+from .terms import Frozen, match_integer
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Frozen):
     """Integer polynomial; coeffs[k] multiplies z^k, trailing zeros stripped."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = __match_args__ = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = [int(v) for v in self.coeffs]
+    def __init__(self, coeffs: tuple[int, ...] = ()):
+        coeffs = [int(v) for v in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -71,24 +70,24 @@ def polynomial_text(p: Polynomial) -> str:
     return ",".join(str(c) for c in p.coeffs) if p.coeffs else "0"
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Frozen):
     """A(z)/B(z) with B(0) nonzero, so a power series exists at the origin.
 
     deg A may not exceed deg B; strictly improper fractions are rejected
     rather than polynomial-divided.
     """
 
-    numerator: Polynomial
-    denominator: Polynomial
+    __slots__ = __match_args__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        if self.denominator.is_zero:
+    def __init__(self, numerator: Polynomial, denominator: Polynomial):
+        if denominator.is_zero:
             raise ZeroDenominator("denominator polynomial is zero")
-        if self.denominator.coefficient(0) == 0:
+        if denominator.coefficient(0) == 0:
             raise ZeroDenominator("denominator vanishes at z = 0, no series there")
-        if self.numerator.degree > self.denominator.degree:
+        if numerator.degree > denominator.degree:
             raise InvalidInput("numerator degree exceeds denominator degree")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
 
 def _z_power_minus_one(k: int) -> Polynomial:
@@ -156,8 +155,7 @@ def extract_coefficient(f: RationalFunction, c: int, n: int) -> int:
     return pow(c, n * n, modulus) * _eval_at_inverse(f.numerator, w, depth) % modulus // b_hat
 
 
-@dataclass(frozen=True)
-class ExtractionParams:
+class ExtractionParams(NamedTuple):
     c: int
     m: int
     growth_margin_checked_to: int

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Union
 
 from . import bigint
@@ -37,32 +36,73 @@ match_natural = re.compile(NATURAL).fullmatch
 match_integer = re.compile(f"-?{NATURAL}").fullmatch
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise InvalidInput(f"constants are naturals, got {self.value}")
+_set = object.__setattr__  # sets a field past Frozen's __setattr__, once, in __init__
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Frozen:
+    """An immutable record on __slots__, for the term nodes and series'
+    polynomials.  A subclass names its fields in __match_args__ and
+    __slots__ and sets each once in __init__ with object.__setattr__.  Like
+    a frozen dataclass it compares class-exact and field by field, hashes
+    its fields, prints as Name(field=value, ...) and refuses assignment and
+    deletion; copy, deepcopy and pickle rebuild it from its fields."""
 
-    def __post_init__(self):
-        if match_identifier(self.name) is None:
-            raise InvalidInput(f"not a valid variable name: {self.name!r}")
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
 
-@dataclass(frozen=True)
-class _Binary:
+class Const(Frozen):
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: int):
+        if value < 0:
+            raise InvalidInput(f"constants are naturals, got {value}")
+        _set(self, "value", value)
+
+
+class Var(Frozen):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        if match_identifier(name) is None:
+            raise InvalidInput(f"not a valid variable name: {name!r}")
+        _set(self, "name", name)
+
+
+class _Binary(Frozen):
     """An operator node: every one has exactly these two children."""
 
-    left: "Term"
-    right: "Term"
+    __slots__ = __match_args__ = ("left", "right")
 
-    # Written out, not generated, so that depth is unbounded: all three read
+    def __init__(self, left: Term, right: Term):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    # Written out, not Frozen's, so that depth is unbounded: all three read
     # _walk.  == compares leaves by their own ==, hash refuses a non-term leaf.
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -81,25 +121,37 @@ class _Binary:
 class Add(_Binary):
     """left + right."""
 
+    __slots__ = ()
+
 
 class Monus(_Binary):
     """Truncated subtraction: left - right, or 0 when right exceeds left."""
+
+    __slots__ = ()
 
 
 class Mul(_Binary):
     """left * right."""
 
+    __slots__ = ()
+
 
 class FloorDiv(_Binary):
     """left // right; a zero right is an error."""
+
+    __slots__ = ()
 
 
 class Pow(_Binary):
     """left raised to the power right."""
 
+    __slots__ = ()
+
 
 class Mod(_Binary):
     """left % right, the least natural residue; a zero right is an error."""
+
+    __slots__ = ()
 
 
 Term = Union[Const, Var, Add, Monus, Mul, FloorDiv, Pow, Mod]

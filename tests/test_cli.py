@@ -1,6 +1,9 @@
 """End-to-end command behavior through main(argv)."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -489,3 +492,28 @@ def test_bench_unwritable_path_is_an_io_error(capsys):
     code, _, err = run(capsys, "bench", "--pair", "2,2", "--reps", "1", "--out", "/nonexistent-dir/x.csv")
     assert code == EXIT_ERROR
     assert "cannot write" in err
+
+
+def test_out_of_memory_exits_2_with_one_error_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("gcdlab.cli.evaluate", exhausted)
+    assert run(capsys, "eval", "(2^(2^26))^(2^26)") == (
+        EXIT_ERROR,
+        "",
+        "error: out of memory computing the result\n",
+    )
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_statistics():
+    # each costs the command line's cold start milliseconds it has no use for
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import gcdlab.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'statistics'} & set(sys.modules)))\n"
+    )
+    result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

@@ -2,6 +2,7 @@
 timing harness."""
 
 import random
+import statistics
 
 import pytest
 
@@ -327,3 +328,19 @@ def test_bench_compare_flags_disagreement_on_exception_pair():
 def test_bench_compare_validates_repetitions():
     with pytest.raises(InvalidInput):
         bench_compare(2, 2, 5, 0)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[5], [3, 1, 2], [4, 1], [1, 8, 5, 5], [9, 9, 2, 9, 1, 3], [10**12 + 1, 10**12], [7, 7]],
+)
+def test_bench_median_is_the_statistics_median(times):
+    assert gcdlab.modular._median(times) == statistics.median(times)
+    assert int(gcdlab.modular._median(times)) == int(statistics.median(times))
+
+
+def test_bench_median_on_random_timings():
+    rng = random.Random(17)
+    for _ in range(300):
+        times = [rng.randrange(10**9) for _ in range(rng.randint(1, 12))]
+        assert int(gcdlab.modular._median(times)) == int(statistics.median(times))

@@ -1,6 +1,8 @@
 """Generating functions, the counting oracle, and coefficient extraction."""
 
+import copy
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -261,3 +263,61 @@ def test_extraction_on_random_admissible_functions():
         coeffs = series_coefficients(f, 31)
         for n in range(max(params.m, 1), 31):
             assert extract_coefficient(f, 5, n) == coeffs[n]
+
+
+# Polynomials and rational functions behave as the frozen dataclasses they
+# replaced: keyword fields, the dataclass repr, class-exact ==, copies and
+# pickles, no assignment, match.
+def _samples():
+    return [Polynomial(), Polynomial((1, -2, 1)), f_ab(2, 3)]
+
+
+def test_series_objects_take_their_fields_by_keyword():
+    assert Polynomial(coeffs=(1, 2, 0)) == Polynomial((1, 2))
+    one, den = Polynomial((1,)), Polynomial((1, -1))
+    assert RationalFunction(numerator=one, denominator=den) == RationalFunction(one, den)
+    with pytest.raises(ZeroDenominator):
+        RationalFunction(numerator=one, denominator=Polynomial())
+
+
+def test_series_objects_repr_is_the_dataclass_text():
+    assert repr(Polynomial((1, -2, 1, 0))) == "Polynomial(coeffs=(1, -2, 1))"
+    assert repr(Polynomial()) == "Polynomial(coeffs=())"
+    assert repr(RationalFunction(Polynomial((1,)), Polynomial((1, -1)))) == (
+        "RationalFunction(numerator=Polynomial(coeffs=(1,)), denominator=Polynomial(coeffs=(1, -1)))"
+    )
+
+
+def test_series_objects_equality_is_class_exact_and_equal_ones_hash_equal():
+    assert Polynomial((1, 2)) != (1, 2) and Polynomial((1, 2)) != ((1, 2),)
+    assert f_ab(2, 3) != f_ab(3, 3)
+    for first, second in zip(_samples(), _samples()):
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+
+
+def test_series_objects_copy_and_pickle_to_equal_objects():
+    for sample in _samples():
+        for twin in (copy.copy(sample), copy.deepcopy(sample), pickle.loads(pickle.dumps(sample))):
+            assert type(twin) is type(sample) and twin == sample and hash(twin) == hash(sample)
+
+
+def test_series_objects_refuse_assignment_and_deletion():
+    for sample in _samples():
+        for name in sample.__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(sample, name, Polynomial((1,)))
+            with pytest.raises(AttributeError):
+                delattr(sample, name)
+    assert _samples() == _samples()
+
+
+def test_series_objects_match_their_fields():
+    match f_ab(1, 2):
+        case RationalFunction(Polynomial(numerator), Polynomial(denominator)):
+            assert (numerator, denominator) == ((1,), (1, -1, -1, 1))
+
+
+def test_series_objects_have_no_instance_dict():
+    for sample in _samples():
+        assert not hasattr(sample, "__dict__")

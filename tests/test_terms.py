@@ -4,6 +4,7 @@ remainder desugaring, and equality, hashing and repr of trees."""
 import collections
 import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -421,3 +422,83 @@ def test_malformed_trees_compare_like_the_reference_and_do_not_hash_or_print():
             pretty_print(x)
         assert type(repr(x)) is str
     assert equal_pairs > len(trees)  # more than each tree with itself
+
+
+# Nodes behave as the frozen dataclasses they replaced: keyword fields, the
+# dataclass repr, class-exact ==, copies and pickles, no assignment, match.
+NODES = [
+    Const(7),
+    Var("a"),
+    Add(Const(1), Var("a")),
+    Pow(Mod(Var("x"), Const(7)), Monus(Mul(Const(2), Var("y")), FloorDiv(Const(9), Const(4)))),
+]
+
+
+def test_nodes_take_their_fields_by_keyword():
+    assert Const(value=3) == Const(3)
+    assert Var(name="a") == Var("a")
+    for node in BINARY_NODES:
+        assert node(left=Const(1), right=Var("a")) == node(Const(1), Var("a"))
+    with pytest.raises(InvalidInput, match="constants are naturals, got -1"):
+        Const(value=-1)
+    with pytest.raises(TypeError):
+        Add(Const(1))
+    with pytest.raises(TypeError):
+        Const(value=1, name="a")
+
+
+def test_leaf_and_node_repr_is_the_dataclass_text():
+    assert repr(Const(1)) == "Const(value=1)"
+    assert repr(Var("a")) == "Var(name='a')"
+    for node in BINARY_NODES:
+        assert repr(node(Const(1), Var("a"))) == f"{node.__name__}(left=Const(value=1), right=Var(name='a'))"
+
+
+def test_equality_is_class_exact_and_equal_trees_hash_equal():
+    x, y = Var("x"), Const(2)
+    assert Add(x, y) != Mul(x, y)
+    assert Const(1) != Var("a")
+    assert Const(1) != 1 and Const(1) != (1,)
+    assert Var("a") != "a"
+    for node in NODES:
+        twin = _copy(node)
+        assert twin == node and twin is not node
+        assert hash(twin) == hash(node)
+
+
+@pytest.mark.parametrize("node", NODES)
+def test_copies_and_pickles_are_equal_trees(node):
+    for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert type(twin) is type(node) and twin == node and hash(twin) == hash(node)
+
+
+@pytest.mark.parametrize("node", NODES)
+def test_nodes_refuse_assignment_and_deletion(node):
+    for name in node.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(node, name, Const(0))
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert node == _copy(node)
+
+
+def test_match_binds_the_children():
+    match parse_term("a + 2"):
+        case Mul(left, right):
+            bound = None
+        case Add(left, right):
+            bound = (left, right)
+    assert bound == (Var("a"), Const(2))
+    match Const(5):
+        case Const(value):
+            assert value == 5
+    match Var("q"):
+        case Var(name):
+            assert name == "q"
+
+
+@pytest.mark.parametrize("node", NODES)
+def test_nodes_have_no_instance_dict(node):
+    assert not hasattr(node, "__dict__")
+    with pytest.raises(AttributeError):
+        node.extra = 1

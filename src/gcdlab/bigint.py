@@ -11,6 +11,9 @@ blocks of the divisor's size with Burnikel and Ziegler's recursion ("Fast
 Recursive Division", MPI-I-98-1-022, 1998). Each is active only above a
 measured operand size; below it, from 3.12 on, or without the C decimal
 module, the three names are str, operator.floordiv and operator.mod.
+
+power_quotient gives floor(k * x^e / y) mod m through those two, from x^e
+reduced modulo y * m, so neither of its callers forms the power.
 """
 
 from __future__ import annotations
@@ -113,3 +116,11 @@ if sys.version_info < (3, 12) and _decimal is not None:
     to_str, floordiv, mod = _to_str, _floordiv, _mod
 else:
     to_str, floordiv, mod = str, operator.floordiv, operator.mod
+
+
+def power_quotient(x: int, e: int, y: int, m: int, k: int = 1) -> int:
+    """floor(k * x^e / y) mod m for y != 0 and m > 0, without forming x^e:
+    floor(X / y) mod m = floor((X mod y*m) / y) for either sign of y
+    (README, "Why it works")."""
+    modulus = y * m
+    return floordiv(mod(pow(x, e, modulus) * k, modulus), y)

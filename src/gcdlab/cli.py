@@ -210,7 +210,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             f"the printed value may not equal s({args.n})",
             file=sys.stderr,
         )
-    print(value)
+    print(to_str(value))
     print(
         f"rank m = {params.m} (growth s(n) < {params.c}^(n-2) checked empirically "
         f"up to n = {params.growth_margin_checked_to})"

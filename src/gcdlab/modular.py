@@ -241,25 +241,18 @@ class BenchRecord(NamedTuple):
         return dict(zip(BENCH_CSV_HEADER.split(","), self))
 
 
-def _median(values: list[int]) -> float:
-    """The middle value, or the mean of the two middle ones for an even count."""
-    ordered = sorted(values)
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2
-
-
 def _timed(
     route: Callable[[int, int, int], int], a: int, b: int, c: int, repetitions: int
 ) -> tuple[int, int]:
     """route(a, b, c) run repetitions times: its value and median time in ns."""
+    from statistics import median  # here, so that importing the CLI does not load it
+
     times = []
     for _ in range(repetitions):
         start = time.perf_counter_ns()
         value = route(a, b, c)
         times.append(time.perf_counter_ns() - start)
-    return value, int(_median(times))
+    return value, int(median(times))
 
 
 def bench_exponent(a: int, b: int, c: int, repetitions: int, max_exponent: Optional[int] = None) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 from typing import NamedTuple
 
+from .bigint import power_quotient
 from .errors import (
     BaseTooSmall,
     InvalidInput,
@@ -138,9 +139,9 @@ def _eval_at_inverse(p: Polynomial, w: int, degree: int) -> int:
 def extract_coefficient(f: RationalFunction, c: int, n: int) -> int:
     """Recover s(n) as floor(c^(n^2) * f(c^-n)) mod c^n, in exact integers.
 
-    Clearing denominators with w = c^n and D = deg B turns f(1/w) into A/B.
-    Floor division gives (X // B) % w = (X % (B*w)) // B for either sign of
-    B, so X = c^(n^2) * A is only ever formed modulo B*w.
+    Clearing denominators with w = c^n and D = deg B turns f(1/w) into A/B,
+    and bigint.power_quotient reads floor(c^(n^2) * A / B) mod w off
+    c^(n^2) reduced modulo B*w, for either sign of B.
     """
     if n < 1:
         raise InvalidInput("coefficient index must be at least 1")
@@ -151,8 +152,7 @@ def extract_coefficient(f: RationalFunction, c: int, n: int) -> int:
     b_hat = _eval_at_inverse(f.denominator, w, depth)
     if b_hat == 0:
         raise ZeroDenominator(f"{c}^-{n} is a pole of the denominator")
-    modulus = b_hat * w
-    return pow(c, n * n, modulus) * _eval_at_inverse(f.numerator, w, depth) % modulus // b_hat
+    return power_quotient(c, n * n, b_hat, w, _eval_at_inverse(f.numerator, w, depth))
 
 
 class ExtractionParams(NamedTuple):

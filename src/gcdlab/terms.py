@@ -161,13 +161,11 @@ Term = Union[Const, Var, Add, Monus, Mul, FloorDiv, Pow, Mod]
 # values.  evaluate pushes (node, _JOIN, base, _CHECK, exponent) for a Pow:
 # at _CHECK the exponent is known and its base not yet visited.
 #
-# evaluate never forms a power that a Mod reduces.  Mod(Pow(x, e), m) pushes
-# (_REDUCE, m, _ONE, x, _CHECK, e), and Mod(FloorDiv(Pow(x, e), y), m) pushes
-# (_REDUCE, m, _NONZERO, y, x, _CHECK, e): the children are walked in the
-# order the plain frames walk them, _NONZERO refuses y = 0 before m is
-# walked, and at _REDUCE the values e, x, y, m give pow(x, e, y*m) // y,
-# which is (x^e // y) % m for y, m > 0 (README, "Why it works").  A Mod of
-# a Pow is the same with y = 1.
+# evaluate never forms a power that a Mod reduces.  Mod(FloorDiv(Pow(x, e),
+# y), m) pushes (_REDUCE, m, _NONZERO, y, x, _CHECK, e), and Mod(Pow(x, e), m)
+# the same with y = _ONE: the children are walked in the order the plain
+# frames walk them, _NONZERO refuses y = 0 before m is walked, and at
+# _REDUCE the values e, x, y, m give bigint.power_quotient(x, e, y, m).
 _JOIN = object()
 _CHECK = object()
 _NONZERO = object()
@@ -287,12 +285,9 @@ def evaluate(term: Term, env: Optional[Env] = None, max_exponent: Optional[int] 
                 raise UnboundVariable(t.name) from None
         elif kind is Pow:
             stack += (t, _JOIN, t.left, _CHECK, t.right)
-        elif kind is Mod and type(t.left) is Pow:
-            power = t.left
-            stack += (_REDUCE, t.right, _ONE, power.left, _CHECK, power.right)
-        elif kind is Mod and type(t.left) is FloorDiv and type(t.left.left) is Pow:
-            power = t.left.left
-            stack += (_REDUCE, t.right, _NONZERO, t.left.right, power.left, _CHECK, power.right)
+        elif kind is Mod and (type(t.left) is Pow or type(t.left) is FloorDiv and type(t.left.left) is Pow):
+            power, divisor = (t.left, _ONE) if type(t.left) is Pow else (t.left.left, t.left.right)
+            stack += (_REDUCE, t.right, _NONZERO, divisor, power.left, _CHECK, power.right)
         elif kind in _OPERATIONS:
             stack += (t, _JOIN, t.right, t.left)
         elif t is _CHECK:
@@ -307,7 +302,7 @@ def evaluate(term: Term, env: Optional[Env] = None, max_exponent: Optional[int] 
                 raise DivisionByZero(_BY_ZERO[Mod])
             divisor = values.pop()
             base = values.pop()
-            values[-1] = bigint.floordiv(pow(base, values[-1], divisor * modulus), divisor)
+            values[-1] = bigint.power_quotient(base, values[-1], divisor, modulus)
         else:
             raise TypeError(f"not a term: {t!r}")
     return values[0]

@@ -111,6 +111,19 @@ def test_small_and_negative_divisors_use_the_builtins(low_thresholds, recursion_
         bigint._floordiv(a, 0)
 
 
+def test_power_quotient_matches_the_formed_power(low_thresholds, recursion_depth):
+    rng = random.Random(13)
+    for trial in range(300):
+        x = (0, 1, -1)[trial] if trial < 3 else rng.getrandbits(rng.randint(1, 40)) * rng.choice((1, -1))
+        e = rng.randrange(200) if trial % 7 else 0
+        y = (rng.getrandbits(rng.randint(0, 1500)) + 1) * rng.choice((1, -1))
+        m = rng.getrandbits(rng.randint(0, 1500)) + 1
+        k = rng.getrandbits(rng.randint(0, 2000)) * rng.choice((1, -1))
+        assert bigint.power_quotient(x, e, y, m, k) == (k * x**e) // y % m, (x, e, y, m, k)
+        assert bigint.power_quotient(x, e, y, m) == x**e // y % m, (x, e, y, m)
+    assert recursion_depth["max"] >= 3 or not ACTIVE
+
+
 def _values_to_print():
     rng = random.Random(11)
     yield 0
@@ -173,6 +186,15 @@ def test_eval_prints_python_str(capsys, low_thresholds, digits):
     bindings = ("--bind", f"a={a}", "--bind", f"b={b}", "--bind", f"c={c}")
     code, out, err = _run(capsys, "eval", "(a / b) % c + a % (b * c) + (a * a) / c", *bindings)
     assert (code, out, err) == (0, str((a // b) % c + a % (b * c) + (a * a) // c) + "\n", "")
+
+
+def test_extract_prints_through_to_str(capsys, monkeypatch, low_thresholds, digits):
+    printed = []
+    monkeypatch.setattr("gcdlab.cli.to_str", lambda n: printed.append(n) or bigint.to_str(n))
+    code, out, err = _run(capsys, "extract", "1", "1,-2", "--base", "3", "--n", "3000")
+    assert (code, err) == (0, "")
+    assert printed == [2**3000]  # s(n) of 1/(1 - 2z) is 2^n
+    assert out.splitlines()[0] == str(2**3000)
 
 
 def test_bench_json_is_unchanged(capsys, low_thresholds, recursion_depth, tmp_path):

@@ -16,10 +16,17 @@ DEEP_INPUTS = {
     "left + chain": ("a" + " + 1" * (DEPTH - 1), None, A + DEPTH - 1, False),
     "right ^ chain": ("1^" * (DEPTH - 1) + "a", None, 1, False),
     "left % chain": ("a" + "%7" * (DEPTH - 1), None, A % 7, True),
-    # every % reduces the power to its left: evaluate's reduced frames
+    # every % reduces the power to its left: evaluate's reduced frame
     "power % chain": (
         "(" * (DEPTH - 1) + "a" + ")^1%7" * (DEPTH - 1),
         "(" * (DEPTH - 2) + "a" + "^1%7)" * (DEPTH - 2) + "^1%7",
+        A % 7,
+        True,
+    ),
+    # the same frame with a divisor read from the term
+    "quotient % chain": (
+        "(" * (DEPTH - 1) + "a" + ")^1/1%7" * (DEPTH - 1),
+        "(" * (DEPTH - 2) + "a" + "^1/1%7)" * (DEPTH - 2) + "^1/1%7",
         A % 7,
         True,
     ),

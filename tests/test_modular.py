@@ -334,13 +334,9 @@ def test_bench_compare_validates_repetitions():
     "times",
     [[5], [3, 1, 2], [4, 1], [1, 8, 5, 5], [9, 9, 2, 9, 1, 3], [10**12 + 1, 10**12], [7, 7]],
 )
-def test_bench_median_is_the_statistics_median(times):
-    assert gcdlab.modular._median(times) == statistics.median(times)
-    assert int(gcdlab.modular._median(times)) == int(statistics.median(times))
-
-
-def test_bench_median_on_random_timings():
-    rng = random.Random(17)
-    for _ in range(300):
-        times = [rng.randrange(10**9) for _ in range(rng.randint(1, 12))]
-        assert int(gcdlab.modular._median(times)) == int(statistics.median(times))
+def test_bench_median_is_the_statistics_median(monkeypatch, times):
+    # a clock that reads 0, then t, for each timing t in turn
+    readings = iter([reading for t in times for reading in (0, t)])
+    monkeypatch.setattr(gcdlab.modular.time, "perf_counter_ns", lambda: next(readings))
+    value, median_ns = gcdlab.modular._timed(lambda a, b, c: a * b + c, 2, 3, 4, len(times))
+    assert (value, median_ns) == (10, int(statistics.median(times)))

@@ -1,9 +1,10 @@
-"""Subquadratic int-to-decimal conversion and floor division for Python
-before 3.12, where str() of an int, // and % take time quadratic in the
-operands' size. CPython 3.12 made str() and a long quotient subquadratic,
-but not the balanced remainder of a 2k-bit number by a k-bit one: at
-k = 300,000 the built-in % took 178 / 154 / 158 ms on 3.11.7 / 3.12.1 /
-3.13.0, against 45 / 50 / 53 ms for mod here, one run each.
+"""Subquadratic int-to-decimal conversion, floor division and modular
+power for large operands. Before 3.12, str() of an int, // and % take time
+quadratic in the operands' size. CPython 3.12 made str() and a long quotient
+subquadratic, but not the balanced remainder of a 2k-bit number by a k-bit
+one, which ends every step of the built-in pow: at k = 300,000 the built-in
+% took 178 / 154 / 158 ms on 3.11.7 / 3.12.1 / 3.13.0, against
+45 / 50 / 53 ms for mod here, one run each.
 
 to_str converts by divide and conquer into a Decimal, whose C library
 multiplies subquadratically, and prints that. floordiv and mod divide by
@@ -12,8 +13,12 @@ Recursive Division", MPI-I-98-1-022, 1998). Each is active only above a
 measured operand size; below it, from 3.12 on, or without the C decimal
 module, the three names are str, operator.floordiv and operator.mod.
 
-power_quotient gives floor(k * x^e / y) mod m through those two, from x^e
-reduced modulo y * m, so neither of its callers forms the power.
+pow_mod squares and multiplies from the top bit of the exponent and takes
+every remainder with that division, on every interpreter, where the modulus
+is over DIV_MIN_BITS; at or below it, where that division is the built-in
+%, it is the built-in pow. power_quotient gives floor(k * x^e / y) mod m
+through floordiv, mod and pow_mod, from x^e reduced modulo |y * m|, so
+neither of its callers forms the power.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ except ImportError:  # the pure-Python decimal multiplies quadratically
     _decimal = None
 
 # Operand sizes in bits at or below which the built-ins are as fast, measured
-# on Python 3.11.7: the value printed, the divisor, and the quotient, which is
-# also where the recursion hands over to the built-in divmod.
+# on Python 3.11.7: the value printed, the divisor, which is also the modulus
+# at or below which pow_mod is the built-in pow on 3.11.7, 3.12.1 and 3.13.0
+# alike, and the quotient, where the recursion hands over to divmod.
 STR_MIN_BITS = 32_000
 DIV_MIN_BITS = 6_000
 QUOTIENT_MIN_BITS = 4_000
@@ -118,9 +124,21 @@ else:
     to_str, floordiv, mod = str, operator.floordiv, operator.mod
 
 
+def pow_mod(x: int, e: int, m: int) -> int:
+    """pow(x, e, m) for e >= 0 and m > 0, by squaring from the top bit of e."""
+    if m.bit_length() <= DIV_MIN_BITS:
+        return pow(x, e, m)
+    x, result = _mod(x, m), 1
+    for bit in bin(e)[2:]:
+        result = _mod(result * result, m)
+        if bit == "1":
+            result = _mod(result * x, m)
+    return result
+
+
 def power_quotient(x: int, e: int, y: int, m: int, k: int = 1) -> int:
     """floor(k * x^e / y) mod m for y != 0 and m > 0, without forming x^e:
     floor(X / y) mod m = floor((X mod y*m) / y) for either sign of y
-    (README, "Why it works")."""
+    (README, "Why it works"); a power congruent to x^e modulo |y*m| serves."""
     modulus = y * m
-    return floordiv(mod(pow(x, e, modulus) * k, modulus), y)
+    return floordiv(mod(pow_mod(x, e, abs(modulus)) * k, modulus), y)

@@ -1,14 +1,16 @@
-"""Signed modular arithmetic with least nonnegative residues, square-and-
-multiply exponentiation, the double-mod quotient identity with checked
-hypotheses, and the fast path for the mod-mod gcd formula, plus a timing
-harness comparing it against materialize-and-divide.
+"""Signed modular arithmetic with least nonnegative residues, a checked
+modular power, the double-mod quotient identity with checked hypotheses,
+and the fast path for the mod-mod gcd formula, plus a timing harness
+comparing it against materialize-and-divide.
 
 The fast path works in small integers. Every exponent in the formula is a
 multiple of n = ab, so it takes Y^(n+a+b) modulo (Y^a - 1)(Y^b - 1), whose
 a + b small coefficients Fiduccia's formula reads off the series counts, and
 where they certify the residue's sign and size at Y = c^n the value is read
-off the constant coefficient; elsewhere it is materialized. fast_pow_mod and
-built-in pow stay as the references the tests check the route against.
+off the constant coefficient; elsewhere it is materialized. fast_pow_mod
+checks its arguments and hands them to bigint.pow_mod, the package's one
+square-and-multiply loop; the built-in pow stays the reference that the
+tests check both it and the route against.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import time
 from decimal import Context, Decimal, localcontext
 from typing import Callable, NamedTuple, Optional
 
-from .bigint import floordiv, mod
+from .bigint import floordiv, mod, pow_mod
 from .errors import (
     BaseTooSmall,
     ExponentGuardExceeded,
@@ -38,19 +40,12 @@ def mod_euclidean(x: int, y: int) -> int:
 
 
 def fast_pow_mod(base: int, exp: int, modulus: int) -> int:
-    """base**exp % modulus by square-and-multiply, one squaring per exponent bit."""
+    """base**exp % modulus for naturals base and exp, by bigint.pow_mod."""
     if modulus < 1:
         raise InvalidModulus(f"modulus must be positive, got {modulus}")
     if base < 0 or exp < 0:
         raise InvalidInput("base and exponent must be naturals")
-    result = 1 % modulus
-    square = base % modulus
-    while exp:
-        if exp & 1:
-            result = result * square % modulus
-        square = square * square % modulus
-        exp >>= 1
-    return result
+    return pow_mod(base, exp, modulus)
 
 
 class ModIdentityInstance(NamedTuple):
@@ -255,12 +250,18 @@ def _timed(
     return value, int(median(times))
 
 
+# bench_compare's repetitions per pair, at most: a bound on the time it runs
+MAX_REPETITIONS = 1000
+
+
 def bench_exponent(a: int, b: int, c: int, repetitions: int, max_exponent: Optional[int] = None) -> int:
     """The E that bench_compare(a, b, c, repetitions) would power by, after
     the checks it makes, in its order; an E above max_exponent, when given,
     raises ExponentGuardExceeded. Nothing is timed and no power is formed."""
     if repetitions < 1:
         raise InvalidInput("repetitions must be at least 1")
+    if repetitions > MAX_REPETITIONS:
+        raise InvalidInput(f"repetitions must be at most {MAX_REPETITIONS}, got {repetitions}")
     return _formula_exponent(a, b, c, max_exponent)
 
 

@@ -12,6 +12,8 @@ import pytest
 
 from gcdlab import bigint
 from gcdlab.cli import main
+from gcdlab.parser import parse_term
+from gcdlab.terms import evaluate
 
 # True before 3.12 with the C decimal module; the built-ins serve elsewhere.
 ACTIVE = bigint.floordiv is bigint._floordiv
@@ -124,6 +126,52 @@ def test_power_quotient_matches_the_formed_power(low_thresholds, recursion_depth
     assert recursion_depth["max"] >= 3 or not ACTIVE
 
 
+def test_pow_mod_matches_the_builtin_pow(monkeypatch, low_thresholds, recursion_depth):
+    rng = random.Random(17)
+    moduli = [
+        1,
+        2,
+        (1 << 24) - 1,  # the largest modulus left to the built-in
+        1 << 24,  # the smallest one squared over _mod
+        _divisor(rng, 25),
+        _divisor(rng, 300),
+        _divisor(rng, 1200),
+    ]
+    exponents = [
+        0,
+        1,
+        2,
+        1 << 90,  # sparse: one bit
+        (1 << 70) | 1,
+        (1 << 64) - 1,  # dense: every bit
+        rng.getrandbits(80),
+    ]
+    bases = [0, 1, -1, 2, -3, rng.getrandbits(40), -rng.getrandbits(900), rng.getrandbits(2000)]
+    for threshold, some_moduli in ((24, moduli), (0, (1, 2, 3))):  # 0: the loop on the tiny moduli too
+        monkeypatch.setattr(bigint, "DIV_MIN_BITS", threshold)
+        for m in some_moduli:
+            for e in exponents:
+                for x in bases:
+                    assert bigint.pow_mod(x, e, m) == pow(x, e, m), (x, e, m)
+    assert recursion_depth["max"] >= 3
+
+
+def test_power_quotient_reduces_through_pow_mod(monkeypatch):
+    calls = []
+    inner = bigint.pow_mod
+    monkeypatch.setattr(bigint, "pow_mod", lambda x, e, m: calls.append((x, e, m)) or inner(x, e, m))
+    y, m = 3**4000 + 2, 7**2000  # y * m above DIV_MIN_BITS
+    assert (y * m).bit_length() > bigint.DIV_MIN_BITS
+    assert bigint.power_quotient(5, 60_000, y, m) == pow(5, 60_000, y * m) // y
+    assert calls == [(5, 60_000, y * m)]
+    # the evaluator's reduced frame reaches it as well
+    assert evaluate(parse_term("5^60000 / y % m"), {"y": y, "m": m}) == pow(5, 60_000, y * m) // y
+    assert calls == [(5, 60_000, y * m)] * 2
+    # a negative y reduces modulo |y * m| as well, and the value is unchanged
+    assert bigint.power_quotient(5, 60_000, -y, m) == 5**60_000 // -y % m
+    assert calls == [(5, 60_000, y * m)] * 3
+
+
 def _values_to_print():
     rng = random.Random(11)
     yield 0
@@ -233,9 +281,9 @@ def test_verify_term_mode_is_unchanged(capsys, monkeypatch, recursion_depth, var
     monkeypatch.setattr(bigint, "QUOTIENT_MIN_BITS", 12)
     code, out, err = _run(capsys, *argv)
     if variant == "divmod":
-        # the term walk reduces c^E under the modulus D*c^(ab), and the
-        # quotient it then takes, gcd + 1, is below the layer's thresholds
-        assert recursion_depth["max"] == 0
+        # the term walk reduces c^E under the modulus D*c^(ab) through
+        # pow_mod, which takes _mod on every interpreter
+        assert recursion_depth["max"] >= 3
     else:
         # mod-mod's (D - r) % c^(ab) and mazzanti's quotient of products do
         assert recursion_depth["max"] >= 3 or not ACTIVE

@@ -18,6 +18,7 @@ from gcdlab.cli import (
     run_verification,
 )
 from gcdlab.formulas import GcdFormula, Variant, gcd_formula
+from gcdlab.modular import bench_exponent
 
 
 def run(capsys, *argv):
@@ -486,6 +487,19 @@ def test_bench_checks_the_guard_after_the_pairs_and_the_repetitions(tmp_path, ca
         assert run(capsys, "bench", *argv, "--out", path) == (EXIT_ERROR, "", err)
     code, _, _ = run(capsys, "bench", "--pair", "2,2", "--reps", "1", "--max-exponent-bits", "5", "--out", path)
     assert code == EXIT_OK  # E = 32 is not above 2^5
+
+
+def test_bench_repetitions_above_the_maximum_are_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bench.csv"
+    for reps in ("1001", str(10**9)):
+        code, out, err = run(capsys, "bench", "--pair", "1,1", "--reps", reps, "--out", str(path))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"error: repetitions must be at most 1000, got {reps}\n"
+        assert not path.exists()
+    assert bench_exponent(1, 1, 5, 1000) == 3
+    code, _, err = run(capsys, "bench", "--pair", "1,1", "--reps", "1000", "--out", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert path.exists()
 
 
 def test_bench_unwritable_path_is_an_io_error(capsys):

@@ -10,20 +10,23 @@ negative literal.
 
 from __future__ import annotations
 
+import gc
 import re
 from itertools import islice
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import GcdLabError
 from .terms import IDENTIFIER, NATURAL, Add, Const, FloorDiv, Mod, Monus, Mul, Pow, Term, Var
-from .terms import _term_leaf, _walk
+from .terms import _new, _set_left, _set_name, _set_right, _set_value, _term_leaf, _walk
 
 # One search over the whole text finds the first character outside the
 # grammar (its classes are those of NATURAL and IDENTIFIER), so a bad
 # character wins over any syntax error.  After it, what findall skips can
-# only be a space, \t, \r or \n.
+# only be a space, \t, \r or \n.  The three token classes start with
+# disjoint characters, so their order changes no token; operators and
+# parentheses, the commonest, come first.
 _BAD = re.compile(r"[^-+*/%^()0-9A-Za-z_ \t\r\n]")
-_TOKEN = re.compile(f"{NATURAL}|{IDENTIFIER}|[-+*/%^()]")
+_TOKEN = re.compile(f"[-+*/%^()]|{NATURAL}|{IDENTIFIER}")
 
 # operator -> (level, reduce threshold, node class): reading an operator
 # first reduces every stacked one whose level reaches the threshold.  Only ^
@@ -64,61 +67,109 @@ def _error(message: str, text: str, index: int) -> ParseError:
     return ParseError(message, SourceSpan(*token.span()))
 
 
+def _taken(tokens: list[str], rest: Iterator[str]) -> int:
+    """The index of the token that rest, an iterator over tokens, gave last."""
+    return len(tokens) - 1 - rest.__length_hint__()
+
+
+def _innermost_open(tokens: list[str], end: int) -> int:
+    """The index of the innermost parenthesis left open before token end.
+    Before end, _parse took each ( as an operand's start and each ) as a
+    match, or it would have stopped there."""
+    opens: list[int] = []
+    for index in range(end):
+        if tokens[index] == "(":
+            opens.append(index)
+        elif tokens[index] == ")":
+            opens.pop()
+    return opens[-1]
+
+
 def parse_term(text: str) -> Term:
-    """Parse source text into a term, or raise ParseError with a span."""
+    """Parse source text into a term, or raise ParseError with a span.
+
+    The cyclic garbage collector is paused while the tree grows, since a
+    term holds no cycles, and left as it was found on return or error.
+    """
+    if not gc.isenabled():
+        return _parse(text)
+    gc.disable()
+    try:
+        return _parse(text)
+    finally:
+        gc.enable()
+
+
+def _parse(text: str) -> Term:
     bad = _BAD.search(text)
     if bad is not None:
         raise ParseError(f"unexpected character {bad.group()!r}", SourceSpan(bad.start(), bad.end()))
     tokens = _TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty input", SourceSpan(0, len(text)))
+    # The tokenizer has checked each leaf, so leaves and nodes are built
+    # inline, past the public constructors and their checks.  Token indices are needed only for an
+    # error, so the loop keeps none: an error works out its token's index
+    # from what is left in rest, and an open parenthesis's from the tokens.
     operands: list[Term] = []
     operators = [_FLOOR]  # entries of _OPERATORS, and _FLOOR at each open parenthesis
-    opens: list[int] = []  # token indices of the open parentheses, innermost last
+    depth = 0  # open parentheses
     want_operand = True
-    for index, tok in enumerate(tokens):
+    rest = iter(tokens)
+    for tok in rest:
         if want_operand:
             if tok == "(":
                 operators.append(_FLOOR)
-                opens.append(index)
+                depth += 1
                 continue
             if tok.isdigit():
+                leaf = _new(Const)
                 try:
-                    operands.append(Const(int(tok)))
+                    _set_value(leaf, int(tok))
                 except ValueError:  # longer than sys.get_int_max_str_digits()
-                    raise _error(f"literal of {len(tok)} digits is too long", text, index) from None
+                    message = f"literal of {len(tok)} digits is too long"
+                    raise _error(message, text, _taken(tokens, rest)) from None
             elif tok in _OPERATORS or tok == ")":
-                raise _error(f"unexpected token {tok!r}", text, index)
+                raise _error(f"unexpected token {tok!r}", text, _taken(tokens, rest))
             else:
-                operands.append(Var(tok))
+                leaf = _new(Var)
+                _set_name(leaf, tok)
+            operands.append(leaf)
             want_operand = False
         elif tok in _OPERATORS:
             operator = _OPERATORS[tok]
             threshold = operator[1]
             while operators[-1][0] >= threshold:
-                right = operands.pop()
-                operands[-1] = operators.pop()[2](operands[-1], right)
+                node = _new(operators.pop()[2])
+                _set_right(node, operands.pop())
+                _set_left(node, operands[-1])
+                operands[-1] = node
             operators.append(operator)
             want_operand = True
-        elif opens and tok == ")":
+        elif depth and tok == ")":
             while operators[-1][0]:
-                right = operands.pop()
-                operands[-1] = operators.pop()[2](operands[-1], right)
+                node = _new(operators.pop()[2])
+                _set_right(node, operands.pop())
+                _set_left(node, operands[-1])
+                operands[-1] = node
             operators.pop()
-            opens.pop()
-        elif opens:
-            raise _error("unbalanced parenthesis", text, opens[-1])
-        elif tok == ")":
-            raise _error("unbalanced parenthesis", text, index)
+            depth -= 1
         else:
+            index = _taken(tokens, rest)
+            if depth:
+                raise _error("unbalanced parenthesis", text, _innermost_open(tokens, index))
+            if tok == ")":
+                raise _error("unbalanced parenthesis", text, index)
             raise _error(f"unexpected token {tok!r}", text, index)
     if want_operand:
         raise ParseError("unexpected end of input", SourceSpan(len(text), len(text)))
-    if opens:
-        raise _error("unbalanced parenthesis", text, opens[-1])
+    if depth:
+        raise _error("unbalanced parenthesis", text, _innermost_open(tokens, len(tokens)))
     while operators[-1][0]:
-        right = operands.pop()
-        operands[-1] = operators.pop()[2](operands[-1], right)
+        node = _new(operators.pop()[2])
+        _set_right(node, operands.pop())
+        _set_left(node, operands[-1])
+        operands[-1] = node
     return operands[0]
 
 

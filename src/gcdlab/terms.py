@@ -36,16 +36,14 @@ match_natural = re.compile(NATURAL).fullmatch
 match_integer = re.compile(f"-?{NATURAL}").fullmatch
 
 
-_set = object.__setattr__  # sets a field past Frozen's __setattr__, once, in __init__
-
-
 class Frozen:
     """An immutable record on __slots__, for the term nodes and series'
     polynomials.  A subclass names its fields in __match_args__ and
-    __slots__ and sets each once in __init__ with object.__setattr__.  Like
-    a frozen dataclass it compares class-exact and field by field, hashes
-    its fields, prints as Name(field=value, ...) and refuses assignment and
-    deletion; copy, deepcopy and pickle rebuild it from its fields."""
+    __slots__ and sets each once in __init__, past __setattr__.  Like a
+    frozen dataclass it compares class-exact and field by field, hashes its
+    fields, prints as Name(field=value, ...) and refuses assignment and
+    deletion; copy and deepcopy return it, and pickle rebuilds it from its
+    fields."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -71,6 +69,12 @@ class Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __copy__(self) -> Frozen:
+        return self
+
+    def __deepcopy__(self, memo: dict) -> Frozen:
+        return self
+
     def __reduce__(self) -> tuple:
         return type(self), self._values()
 
@@ -81,7 +85,7 @@ class Const(Frozen):
     def __init__(self, value: int):
         if value < 0:
             raise InvalidInput(f"constants are naturals, got {value}")
-        _set(self, "value", value)
+        _set_value(self, value)
 
 
 class Var(Frozen):
@@ -90,7 +94,7 @@ class Var(Frozen):
     def __init__(self, name: str):
         if match_identifier(name) is None:
             raise InvalidInput(f"not a valid variable name: {name!r}")
-        _set(self, "name", name)
+        _set_name(self, name)
 
 
 class _Binary(Frozen):
@@ -99,8 +103,8 @@ class _Binary(Frozen):
     __slots__ = __match_args__ = ("left", "right")
 
     def __init__(self, left: Term, right: Term):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _set_left(self, left)
+        _set_right(self, right)
 
     # Written out, not Frozen's, so that depth is unbounded: all three read
     # _walk.  == compares leaves by their own ==, hash refuses a non-term leaf.
@@ -116,6 +120,51 @@ class _Binary(Frozen):
 
     def __repr__(self) -> str:
         return "".join(_walk(self, lambda t: (f"{type(t).__qualname__}(left=", ", right=", ")"), repr))
+
+    def __reduce__(self) -> tuple:
+        # Flat, not one nested __reduce__ per level, so that depth is
+        # unbounded: the node classes in post-order, None for each leaf, and
+        # the leaves in order.
+        kinds: list = []
+        leaves: list = []
+        stack: list = [self]
+        while stack:  # node, right, left: the reverse of post-order
+            t = stack.pop()
+            if isinstance(t, _Binary):
+                kinds.append(type(t))
+                stack += (t.left, t.right)
+            else:
+                kinds.append(None)
+                leaves.append(t)
+        kinds.reverse()
+        leaves.reverse()
+        return _unflatten, (kinds, leaves)
+
+
+# A field's slot descriptor sets it past Frozen's __setattr__.  The public
+# constructors check their arguments and then set their fields with these.
+# The parser, whose leaves its tokenizer has checked, builds leaves and nodes
+# with _new and these alone, and so does _unflatten build nodes.
+_new = object.__new__
+_set_value = Const.value.__set__
+_set_name = Var.name.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
+
+
+def _unflatten(kinds: list, leaves: list) -> Term:
+    """The tree that _Binary.__reduce__ flattened, rebuilt bottom-up."""
+    built: list = []
+    next_leaf = iter(leaves).__next__
+    for kind in kinds:
+        if kind is None:
+            built.append(next_leaf())
+        else:
+            node = _new(kind)
+            _set_right(node, built.pop())
+            _set_left(node, built[-1])
+            built[-1] = node
+    return built[0]
 
 
 class Add(_Binary):

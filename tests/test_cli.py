@@ -489,6 +489,17 @@ def test_bench_checks_the_guard_after_the_pairs_and_the_repetitions(tmp_path, ca
     assert code == EXIT_OK  # E = 32 is not above 2^5
 
 
+def test_bench_checks_the_repetitions_without_a_pair(tmp_path, capsys):
+    path = tmp_path / "bench.csv"
+    for argv, err in [
+        (("--reps", "0"), "error: repetitions must be at least 1\n"),
+        (("--reps", "5000"), "error: repetitions must be at most 1000, got 5000\n"),
+        (("--reps", "0", "--max-exponent-bits", "-1"), "error: --max-exponent-bits must be at least 0, got -1\n"),
+    ]:
+        assert run(capsys, "bench", *argv, "--out", str(path)) == (EXIT_ERROR, "", err)
+        assert not path.exists()
+
+
 def test_bench_repetitions_above_the_maximum_are_an_input_error(tmp_path, capsys):
     path = tmp_path / "bench.csv"
     for reps in ("1001", str(10**9)):

@@ -1,5 +1,8 @@
-"""Terms nested or chained 10^5 deep parse, print and walk without
-exhausting the interpreter's recursion limit."""
+"""Terms nested or chained 10^5 deep parse, print, walk, copy and pickle
+without exhausting the interpreter's recursion limit."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -46,6 +49,9 @@ def test_deep_term_survives_every_walk(name):
     nodes = fold(term, lambda t: 0, lambda t, left, right: left + right + 1)
     shown = repr(term)
     assert shown == repr(twin) and shown.count("(left=") == nodes
+    assert copy.deepcopy(term) is term
+    unpickled = pickle.loads(pickle.dumps(term))
+    assert unpickled is not term and unpickled == term and repr(unpickled) == shown
 
     assert evaluate(term, {"a": A}) == value
     assert free_variables(term) == {"a"}

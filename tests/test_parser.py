@@ -1,6 +1,7 @@
 """Surface syntax: grammar, precedence, error spans, and round-tripping."""
 
 import ast
+import gc
 import random
 import sys
 
@@ -114,11 +115,41 @@ def test_pretty_print_examples():
     assert pretty_print(Mul(Const(2), FloorDiv(Var("a"), Var("b")))) == "2*(a/b)"
 
 
+def _node_types(term):
+    types, stack = [], [term]
+    while stack:
+        t = stack.pop()
+        types.append(type(t))
+        if type(t) not in (Const, Var):
+            stack += (t.left, t.right)
+    return types
+
+
 def test_round_trip_on_random_terms():
+    # random_term builds with the public constructors, and parse_term past
+    # them: the trees must not differ, down to each node's exact type
     rng = random.Random(12345)
     for _ in range(2000):
         term = random_term(rng, depth=rng.randint(0, 8))
-        assert parse_term(pretty_print(term)) == term
+        parsed = parse_term(pretty_print(term))
+        assert parsed == term
+        assert repr(parsed) == repr(term)
+        assert _node_types(parsed) == _node_types(term)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", ["(a + 12)*b_1 - x/3 % y^2^0", "(a + 12", "1 $ 2"])
+def test_parse_leaves_the_collector_as_it_found_it(enabled, text):
+    saved = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            parse_term(text)
+        except ParseError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if saved else gc.disable)()
 
 
 # Every character class the tokenizer knows, plus two it must refuse: a

@@ -104,7 +104,7 @@ def test_negative_constant_rejected():
 
 
 def test_bad_variable_name_rejected():
-    for name in ("2x", "", "a-b", "π", "a\n", "x "):
+    for name in ("2x", "1a", "", "a-b", "π", "a\n", "x "):
         with pytest.raises(InvalidInput):
             Var(name)
 
@@ -363,9 +363,12 @@ def reference_equal(x, y):
 
 
 def _copy(t):
+    """t in new nodes and leaves; a leaf that is no term is deep-copied."""
     if type(t) in BINARY_NODES:
         return type(t)(_copy(t.left), _copy(t.right))
-    return type(t)(t.value) if type(t) is Const else Var(t.name)
+    if type(t) is Const:
+        return Const(t.value)
+    return Var(t.name) if type(t) is Var else copy.deepcopy(t)
 
 
 def _near_miss(rng, t):
@@ -409,7 +412,7 @@ def test_equality_and_hash_match_a_recursive_reference():
 
 
 def test_malformed_trees_compare_like_the_reference_and_do_not_hash_or_print():
-    trees = MALFORMED_TREES + [copy.deepcopy(t) for t in MALFORMED_TREES]
+    trees = MALFORMED_TREES + [_copy(t) for t in MALFORMED_TREES]
     equal_pairs = 0
     for x in trees:
         for y in trees:
@@ -468,8 +471,10 @@ def test_equality_is_class_exact_and_equal_trees_hash_equal():
 
 @pytest.mark.parametrize("node", NODES)
 def test_copies_and_pickles_are_equal_trees(node):
-    for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
-        assert type(twin) is type(node) and twin == node and hash(twin) == hash(node)
+    assert copy.copy(node) is node and copy.deepcopy(node) is node  # immutable: no copy is needed
+    twin = pickle.loads(pickle.dumps(node))
+    assert type(twin) is type(node) and twin == node and hash(twin) == hash(node)
+    assert repr(twin) == repr(node)
 
 
 @pytest.mark.parametrize("node", NODES)

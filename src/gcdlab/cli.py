@@ -30,7 +30,7 @@ from .formulas import (
     gcd_formula,
     gcd_via_formula,
 )
-from .modular import BENCH_CSV_HEADER, bench_compare, bench_exponent
+from .modular import BENCH_CSV_HEADER, bench_compare, bench_exponent, check_repetitions
 from .parser import ParseError, parse_term
 from .series import (
     RationalFunction,
@@ -227,9 +227,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise InvalidInput(f"bad pair {text!r}, expected A,B with naturals >= 1")
         pairs.append(pair)
     limit = _exponent_limit(args)
-    # --reps is checked before any pair's other checks, also when no --pair is
-    # given: bench_exponent checks it first, and (1, 1) at base 2 passes the rest
-    bench_exponent(1, 1, 2, args.reps)
+    check_repetitions(args.reps)  # before any pair's checks, also with no --pair
     for a, b in pairs:  # every pair meets the guard before any is timed
         bench_exponent(a, b, args.base, args.reps, limit)
     # strictly sequential, one pair at a time

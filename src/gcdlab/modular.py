@@ -254,14 +254,19 @@ def _timed(
 MAX_REPETITIONS = 1000
 
 
-def bench_exponent(a: int, b: int, c: int, repetitions: int, max_exponent: Optional[int] = None) -> int:
-    """The E that bench_compare(a, b, c, repetitions) would power by, after
-    the checks it makes, in its order; an E above max_exponent, when given,
-    raises ExponentGuardExceeded. Nothing is timed and no power is formed."""
+def check_repetitions(repetitions: int) -> None:
+    """Refuse a repetition count outside 1..MAX_REPETITIONS."""
     if repetitions < 1:
         raise InvalidInput("repetitions must be at least 1")
     if repetitions > MAX_REPETITIONS:
         raise InvalidInput(f"repetitions must be at most {MAX_REPETITIONS}, got {repetitions}")
+
+
+def bench_exponent(a: int, b: int, c: int, repetitions: int, max_exponent: Optional[int] = None) -> int:
+    """The E that bench_compare(a, b, c, repetitions) would power by, after
+    the checks it makes, in its order; an E above max_exponent, when given,
+    raises ExponentGuardExceeded. Nothing is timed and no power is formed."""
+    check_repetitions(repetitions)
     return _formula_exponent(a, b, c, max_exponent)
 
 

@@ -6,7 +6,7 @@ floor division, exponentiation, and a remainder node.  Remainder is sugar:
 arbitrary-precision naturals and evaluation is exact; a power that a
 remainder reduces is reduced modulo it, not formed.  Three loops walk a
 term on explicit stacks, so depth is unbounded: ``fold``, ``evaluate`` and
-``_walk``, whose in-order pieces repr, ==, hash and ``pretty_print`` read.
+``_walk``, whose in-order pieces repr, ==, hash, pickle and ``pretty_print`` read.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class _Binary(Frozen):
         _set_left(self, left)
         _set_right(self, right)
 
-    # Written out, not Frozen's, so that depth is unbounded: all three read
+    # Written out, not Frozen's, so that depth is unbounded: all four read
     # _walk.  == compares leaves by their own ==, hash refuses a non-term leaf.
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -122,23 +122,11 @@ class _Binary(Frozen):
         return "".join(_walk(self, lambda t: (f"{type(t).__qualname__}(left=", ", right=", ")"), repr))
 
     def __reduce__(self) -> tuple:
-        # Flat, not one nested __reduce__ per level, so that depth is
-        # unbounded: the node classes in post-order, None for each leaf, and
-        # the leaves in order.
-        kinds: list = []
+        # Flat, not one nested __reduce__ per level: the node classes in
+        # post-order, None for each leaf, and the leaves in order.
         leaves: list = []
-        stack: list = [self]
-        while stack:  # node, right, left: the reverse of post-order
-            t = stack.pop()
-            if isinstance(t, _Binary):
-                kinds.append(type(t))
-                stack += (t.left, t.right)
-            else:
-                kinds.append(None)
-                leaves.append(t)
-        kinds.reverse()
-        leaves.reverse()
-        return _unflatten, (kinds, leaves)
+        pieces = _walk(self, lambda t: (_SKIP, _SKIP, type(t)), leaves.append)
+        return _unflatten, ([kind for kind in pieces if kind is not _SKIP], leaves)
 
 
 # A field's slot descriptor sets it past Frozen's __setattr__.  The public
@@ -223,8 +211,10 @@ _ONE = Const(1)
 # _walk pushes a text piece behind _PIECE, so that a str inside a malformed
 # tree is still a child.  To == and hash a node is its class and an _END
 # after each child, so two trees give equal pieces only when they are equal.
+# __reduce__ keeps a node's class after both children and drops each _SKIP.
 _PIECE = object()
 _END = object()
+_SKIP = object()
 
 
 def _walk(term: Term, parts: Callable, leaf: Callable) -> list:
@@ -388,10 +378,6 @@ def free_variables(term: Term) -> frozenset[str]:
     names: set[str] = set()
     fold(term, lambda t: type(t) is Var and names.add(t.name), lambda t, left, right: None)
     return frozenset(names)
-
-
-def is_closed(term: Term) -> bool:
-    return not free_variables(term)
 
 
 def contains_mod(term: Term) -> bool:

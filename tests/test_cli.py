@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -394,6 +395,14 @@ def test_extract_check_window_is_bounded(capsys):
     code, out, err = run(capsys, "extract", "1", "1,-2,1", "--n", "4", "--check-to", "1000000000000")
     assert (code, out) == (EXIT_ERROR, "")
     assert err == "error: check window must be at most 10000, got 1000000000000\n"
+
+
+def test_extract_index_is_bounded(capsys):
+    for n in ("50001", "1000000000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "extract", "1", "1,-1,-1,1", "--n", n)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out, err) == (EXIT_ERROR, "", f"error: coefficient index must be at most 50000, got {n}\n")
 
 
 def test_extract_takes_a_polynomial_with_a_leading_minus(capsys):

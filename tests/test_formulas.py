@@ -1,5 +1,6 @@
 """The formula catalog against the Euclid oracle."""
 
+import collections
 import json
 import math
 import random
@@ -110,6 +111,37 @@ def test_exception_sets_are_proved():
     for c in range(5, 17):
         for variant in (Variant.DIVMOD, Variant.MODMOD):
             assert gcd_formula(variant, c).exceptions == frozenset()
+
+
+def test_mazzanti_exception_set_is_proved():
+    """The README's argument for mazzanti, mechanized: with n = ab and
+    w = 2^n the quotient is a sum of powers of w whose digit at w^0 is
+    gcd(a, b), and the powers below w^0 sum to less than 1."""
+    term = mazzanti_gcd_term()
+    numerator, denominator, cap = term.left.left, term.left.right, term.right
+    for a in range(1, 13):
+        for b in range(1, 12 // a + 1):
+            env, n = {"a": a, "b": b}, a * b
+            w = 2**n
+            p, q = sum(w ** (a * i) for i in range(b)), sum(w ** (b * j) for j in range(a))
+            assert w**n - 1 == (w**a - 1) * p == (w**b - 1) * q
+            top, bottom = evaluate(numerator, env), evaluate(denominator, env)
+            assert top == w**a * (w**n - 1) ** 2
+            assert bottom == (w**a - 1) * (w**b - 1) * w**n
+            assert evaluate(cap, env) == w
+            powers = sum(Fraction(w) ** (a * i + b * j - a * (b - 1)) for i in range(b) for j in range(a))
+            assert Fraction(top, bottom) == powers
+            assert evaluate(term, env) == math.gcd(a, b)
+    for a in range(1, 41):
+        for b in range(1, 41):
+            g, n = math.gcd(a, b), a * b
+            counts = collections.Counter(a * i + b * j - a * (b - 1) for i in range(b) for j in range(a))
+            assert counts[0] == g and max(counts.values()) == g
+            assert g < 2**n  # the digit at w^0 does not carry
+            if n == 1:
+                assert min(counts) == 0  # no power below w^0
+            else:
+                assert g < 2**n - 1  # so they sum to at most g/(w - 1) < 1
 
 
 @pytest.mark.parametrize("variant", ["divmod", "modmod"])

@@ -10,8 +10,10 @@ to_str converts by divide and conquer into a Decimal, whose C library
 multiplies subquadratically, and prints that. floordiv and mod divide by
 blocks of the divisor's size with Burnikel and Ziegler's recursion ("Fast
 Recursive Division", MPI-I-98-1-022, 1998). Each is active only above a
-measured operand size; below it, from 3.12 on, or without the C decimal
-module, the three names are str, operator.floordiv and operator.mod.
+measured operand size; below it, from 3.12 on, or where the C decimal
+module is not present, the three names are str, operator.floordiv and
+operator.mod. The C module is looked up when this module loads, but it is
+imported only by the first conversion above STR_MIN_BITS.
 
 pow_mod squares and multiplies from the top bit of the exponent and takes
 every remainder with that division, on every interpreter, where the modulus
@@ -23,13 +25,9 @@ neither of its callers forms the power.
 
 from __future__ import annotations
 
+import importlib.util
 import operator
 import sys
-
-try:
-    import _decimal
-except ImportError:  # the pure-Python decimal multiplies quadratically
-    _decimal = None
 
 # Operand sizes in bits at or below which the built-ins are as fast, measured
 # on Python 3.11.7: the value printed, the divisor, which is also the modulus
@@ -43,6 +41,8 @@ QUOTIENT_MIN_BITS = 4_000
 def _to_str(n: int) -> str:
     if n.bit_length() <= STR_MIN_BITS:
         return str(n)
+    import _decimal  # here, so that importing the CLI does not load it
+
     context = _decimal.Context(prec=_decimal.MAX_PREC, Emax=_decimal.MAX_EMAX, traps=[_decimal.Inexact])
     powers: dict = {}  # w -> 2^w as a Decimal, shared by the calls at one depth
 
@@ -118,7 +118,8 @@ def _mod(a: int, b: int) -> int:
     return _divmod(a, b)[1]
 
 
-if sys.version_info < (3, 12) and _decimal is not None:
+# the pure-Python decimal multiplies quadratically, so only the C module serves
+if sys.version_info < (3, 12) and importlib.util.find_spec("_decimal") is not None:
     to_str, floordiv, mod = _to_str, _floordiv, _mod
 else:
     to_str, floordiv, mod = str, operator.floordiv, operator.mod

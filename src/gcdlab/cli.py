@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 import time
@@ -176,6 +175,8 @@ def _cmd_gcd(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import json  # here, so that importing the CLI does not load it
+
     f = gcd_formula(Variant(args.variant), args.base)
     mode = args.mode or ("term" if f.variant is Variant.MAZZANTI else "fast")
     if mode == "fast" and f.variant is Variant.MAZZANTI:
@@ -219,6 +220,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    import json  # here, so that importing the CLI does not load it
+
     pairs: list[tuple[int, int]] = []
     for text in args.pair or []:
         left, _, right = text.partition(",")

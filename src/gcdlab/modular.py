@@ -15,10 +15,7 @@ tests check both it and the route against.
 
 from __future__ import annotations
 
-import json
-import random
 import time
-from decimal import Context, Decimal, localcontext
 from typing import Callable, NamedTuple, Optional
 
 from .bigint import floordiv, mod, pow_mod
@@ -103,7 +100,9 @@ def random_identity_instance(seed: int) -> ModIdentityInstance:
     positive multiple of modulus that divisor does not divide, and its floor
     quotient is q.
     """
-    rng = random.Random(seed)
+    from random import Random  # here, so that importing the CLI does not load it
+
+    rng = Random(seed)
     modulus = rng.randint(2, 48)
     divisor = modulus * rng.randint(1, 64) + 1
     quotient = modulus * rng.randrange(64) + rng.randrange(modulus - 1)
@@ -207,6 +206,8 @@ def power_bit_length(c: int, e: int) -> int:
     """
     if c & (c - 1) == 0:
         return e * (c.bit_length() - 1) + 1
+    from decimal import Context, Decimal, localcontext  # here, so that importing the CLI does not load it
+
     with localcontext(Context(prec=e.bit_length() // 3 + 30)) as ctx:
         estimate = Decimal(e) * Decimal(c).ln() / Decimal(2).ln()
         slack = estimate.scaleb(2 - ctx.prec)
@@ -230,6 +231,8 @@ class BenchRecord(NamedTuple):
     values_equal: bool
 
     def csv_row(self) -> str:
+        import json  # here, so that importing the CLI does not load it
+
         return ",".join(json.dumps(value) for value in self)
 
     def json_dict(self) -> dict:

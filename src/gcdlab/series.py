@@ -142,7 +142,7 @@ def extract_coefficient(f: RationalFunction, c: int, n: int) -> int:
     Clearing denominators with w = c^n and D = deg B turns f(1/w) into A/B,
     and bigint.power_quotient reads floor(c^(n^2) * A / B) mod w off
     c^(n^2) reduced modulo B*w, for either sign of B.  n is at most
-    MAX_INDEX.
+    MAX_INDEX, and n times the bit length of c at most MAX_POWER_BITS.
     """
     if n < 1:
         raise InvalidInput("coefficient index must be at least 1")
@@ -150,6 +150,11 @@ def extract_coefficient(f: RationalFunction, c: int, n: int) -> int:
         raise InvalidInput(f"coefficient index must be at most {MAX_INDEX}, got {n}")
     if c < 2:
         raise BaseTooSmall("extraction base must be at least 2")
+    if n * c.bit_length() > MAX_POWER_BITS:
+        raise InvalidInput(
+            f"coefficient index times the base's bit length must be at most {MAX_POWER_BITS}, "
+            f"got {n} * {c.bit_length()}"
+        )
     w = c**n
     depth = f.denominator.degree
     b_hat = _eval_at_inverse(f.denominator, w, depth)
@@ -165,13 +170,16 @@ class ExtractionParams(NamedTuple):
 
 
 # The growth check keeps a running c^n, which grows to n*log2(c) bits, so its
-# cost is still quadratic in the window: 0.02 s at 10^4, 0.055 s at 2*10^4
-# and 0.16 s at 4*10^4 for f_ab(1, 1) on base 5 (CPython 3.11), and a window
-# of 10^12 never finishes.
+# cost is quadratic in the window: 0.02 s at 10^4, 0.055 s at 2*10^4 and
+# 0.16 s at 4*10^4 for f_ab(1, 1) on base 5 (CPython 3.11).
 MAX_CHECK_WINDOW = 10_000
 # extract_coefficient's cost grows faster than linearly in n: 0.7 s at 5*10^4
 # and 2.2 s at 10^5 for 1/(1 - z - z^2 + z^3) on base 5 (CPython 3.11).
 MAX_INDEX = 50_000
+# Its cost follows the bits of c^n, not n alone: at n = 5*10^4 the same
+# function took 0.7 s on base 5 and 21 s on base 10^6. n times c's bit length
+# is at most this, which keeps bases 2 to 7 at MAX_INDEX.
+MAX_POWER_BITS = 3 * MAX_INDEX
 
 
 def check_extraction_conditions(f: RationalFunction, c: int, n_max: int) -> ExtractionParams:

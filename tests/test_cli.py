@@ -405,6 +405,16 @@ def test_extract_index_is_bounded(capsys):
         assert (code, out, err) == (EXIT_ERROR, "", f"error: coefficient index must be at most 50000, got {n}\n")
 
 
+def test_extract_bits_of_the_base_power_are_bounded(capsys):
+    # base 10^6 has 20 bits, so n is at most 150000 / 20 = 7500
+    for n in ("7501", "50000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "extract", "1", "1,-1,-1,1", "--base", "1000000", "--n", n)
+        assert time.perf_counter() - start < 0.5
+        expected = f"error: coefficient index times the base's bit length must be at most 150000, got {n} * 20\n"
+        assert (code, out, err) == (EXIT_ERROR, "", expected)
+
+
 def test_extract_takes_a_polynomial_with_a_leading_minus(capsys):
     # -1/(-1 + z) = 1/(1 - z): every coefficient is 1
     expected = "1\nrank m = 3 (growth s(n) < 5^(n-2) checked empirically up to n = 50)\n"
@@ -541,13 +551,17 @@ def test_out_of_memory_exits_2_with_one_error_line(capsys, monkeypatch):
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_statistics():
-    # each costs the command line's cold start milliseconds it has no use for
+    # each costs the command line's cold start milliseconds it has no use for;
+    # json, decimal and random too, which no gcd or small eval uses. -S keeps
+    # site's own imports (a .pth file may load random) from hiding one.
     src = Path(__file__).resolve().parent.parent / "src"
+    unused = {"dataclasses", "inspect", "statistics", "json", "decimal", "_decimal", "random"}
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "import gcdlab.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'statistics'} & set(sys.modules)))\n"
+        "gcdlab.cli.build_arg_parser()\n"
+        f"print(sorted({unused!r} & set(sys.modules)))\n"
     )
-    result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"

@@ -4,11 +4,13 @@ import copy
 import math
 import pickle
 import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
+from gcdlab import series
 from gcdlab.errors import (
     BaseTooSmall,
     InvalidInput,
@@ -199,6 +201,19 @@ def test_extract_input_validation():
         extract_coefficient(f_ab(1, 1), 5, 0)
     with pytest.raises(BaseTooSmall):
         extract_coefficient(f_ab(1, 1), 1, 3)
+
+
+def test_extract_bounds_the_bits_of_the_base_power(monkeypatch):
+    # n times c's bit length, not n alone: bases 2 to 7 keep n = MAX_INDEX
+    assert series.MAX_POWER_BITS == 150_000
+    assert (7).bit_length() * series.MAX_INDEX <= series.MAX_POWER_BITS < (8).bit_length() * series.MAX_INDEX
+    monkeypatch.setattr(series, "MAX_POWER_BITS", 60)
+    assert extract_coefficient(f_ab(1, 1), 1000, 6) == 7  # 6 * 10 bits
+    message = "coefficient index times the base's bit length must be at most 60, got 7 * 10"
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        extract_coefficient(f_ab(1, 1), 1000, 7)
+    with pytest.raises(InvalidInput, match=r"got 1 \* 1000001$"):
+        extract_coefficient(f_ab(1, 1), 2**1_000_000, 1)
 
 
 def test_extract_detects_pole_at_evaluation_point():

@@ -137,16 +137,25 @@ def power_residue(a: int, b: int) -> list[int]:
     solutions of a*x + b*y = m, the series of 1/((1 - t^a)(1 - t^b)): with
     N = ab + a + b, coefficient i is
     s(N - i) - [i < a] s(N - b - i) - [i < b] s(N - a - i).
-    README, "Why it works", proves it. The counts s(ab + 1), ..., s(N) come
-    from one pass over the solutions with ab < a*x + b*y <= N.
+    README, "Why it works", proves it. The counts s(N - k), k < a + b, are
+    counted by residue class: with S = max(a, b) and O = min(a, b), each
+    rest N - S*x adds one to every k <= rest with k = rest (mod O). A rest
+    of at least a + b - 1 covers its whole class below a + b, so one
+    histogram of the rests modulo O, repeated over the window, gives the
+    counts, once the least rest, N mod S, loses the k of its class above it.
+    Every other rest covers its class: the next one is a + b when a != b,
+    and O when a = b, where the class's next k is a + b.
     """
     m = a + b
     top = a * b + m
-    step, other = max(a, b), min(a, b)  # the larger step makes fewer passes
-    counts = [0] * (2 * m)  # counts[k] = s(N - k) for k < m; the zeros above are the brackets
-    for rest in range(top, -1, -step):  # rest = N - step*x
-        for k in range(rest % other, min(rest + 1, m), other):  # k = rest - other*y
-            counts[k] += 1
+    step, other = max(a, b), min(a, b)
+    hist = [0] * other  # rests N - step*x by class modulo other
+    for rest in range(top, -1, -step):
+        hist[rest % other] += 1
+    # counts[k] = s(N - k) for k < m; the zeros above are the brackets
+    counts = (hist * (m // other + 1))[:m] + [0] * m
+    for k in range(top % step + other, m, other):  # above the least rest
+        counts[k] -= 1
     return [counts[i] - counts[i + b] - counts[i + a] for i in range(m)]
 
 

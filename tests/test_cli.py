@@ -415,6 +415,17 @@ def test_extract_bits_of_the_base_power_are_bounded(capsys):
         assert (code, out, err) == (EXIT_ERROR, "", expected)
 
 
+def test_extract_growth_check_stops_multiplying_a_huge_base(capsys):
+    # 1/(1 - z) has every s(n) = 1, so c^n is past s * c^2 from n = 3 on;
+    # a c^n kept over the whole window of 50 would reach 7.5M bits
+    base = "1" + "0" * 45000
+    start = time.perf_counter()
+    code, out, err = run(capsys, "extract", "1", "1,-1", "--base", base, "--n", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (EXIT_OK, f"1\nrank m = 3 (growth s(n) < {base}^(n-2) checked empirically up to n = 50)\n")
+    assert err == "warning: n=1 is below the valid rank m=3; the printed value may not equal s(1)\n"
+
+
 def test_extract_takes_a_polynomial_with_a_leading_minus(capsys):
     # -1/(-1 + z) = 1/(1 - z): every coefficient is 1
     expected = "1\nrank m = 3 (growth s(n) < 5^(n-2) checked empirically up to n = 50)\n"

@@ -220,6 +220,31 @@ def test_residue_equals_fiduccia_over_direct_counts():
             assert power_residue(a, b) == _residue_by_fiduccia(a, b), (a, b)
 
 
+def _wide_residue_pairs():
+    """Pairs past the grids above: a smaller side of 1 to 3 against up to
+    300 in both orders, equal sides, one side a multiple of the other,
+    neighbours and a seeded sample up to 400. There one histogram class
+    spans most of the window, or the least rest's correction is long."""
+    skewed = {(o, b) for o in (1, 2, 3) for b in range(1, 301)}
+    pairs = skewed | {(b, a) for a, b in skewed}
+    pairs |= {(k, k) for k in (41, 64, 89, 97, 150, 211)}
+    pairs |= {(k * b, b) for b in (7, 13, 40) for k in (2, 3, 5)}
+    pairs |= {(b, k * b) for b in (7, 13, 40) for k in (2, 3, 5)}
+    pairs |= {(97, 96), (96, 97), (150, 149), (149, 150)}
+    rng = random.Random(26)
+    pairs |= {(rng.randint(1, 400), rng.randint(1, 400)) for _ in range(24)}
+    return sorted(pairs)
+
+
+def test_residue_equals_both_oracles_on_wide_pairs():
+    for a, b in _wide_residue_pairs():
+        residue = power_residue(a, b)
+        assert residue == _residue_by_long_division(a, b), (a, b)
+        # the formula is symmetric in a and b, and counting along the larger
+        # step keeps the direct counts short
+        assert residue == _residue_by_fiduccia(max(a, b), min(a, b)), (a, b)
+
+
 def test_residue_leading_coefficient_is_s_of_ab_plus_gcd():
     # r ends at index a + b - gcd(a, b) with s(ab + gcd) > 0, so the
     # certificate's sign condition holds on this whole range
